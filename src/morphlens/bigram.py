@@ -29,18 +29,27 @@ from .tokenizer import Token
 
 DEFAULT_WINDOW = 1000
 
-# cache of c * log2(c) for small counts; index 0 and 1 are 0
-_CLOG2: List[float] = [0.0, 0.0]
+# c * log2(c) for every count a default-sized window can hold; index 0 and 1
+# are 0. Immutable, so threads share it without a lock.
+_CLOG2: Tuple[float, ...] = (0.0, 0.0) + tuple(
+    k * math.log2(k) for k in range(2, DEFAULT_WINDOW + 2)
+)
+
+# Pending pairs that trigger a replay into the accessor windows.
+_FLUSH_PAIRS = 1 << 15
 
 
 def _clog2(c: int) -> float:
-    try:
+    if c < len(_CLOG2):
         return _CLOG2[c]
-    except IndexError:
-        while len(_CLOG2) <= c:
-            k = len(_CLOG2)
-            _CLOG2.append(k * math.log2(k))
-        return _CLOG2[c]
+    return c * math.log2(c)
+
+
+def entropy_steps(stop: int, start: int = 0) -> List[float]:
+    """The change of the entropy accumulator sum c*log2(c) when a count goes
+    from c to c + 1, for c in range(start, stop). A window of capacity W
+    needs the steps for c < W: `entropy_steps(W)`."""
+    return [_clog2(c + 1) - _clog2(c) for c in range(start, stop)]
 
 
 class MetricsError(Exception):
@@ -120,6 +129,94 @@ class AccessorState:
             # clamp: accumulated rounding can push a zero entropy negative
             self.h_sum += max(0.0, math.log2(w) - self.entropy_acc / w)
             self.snapshots += 1
+
+    def extend(self, accessors: List[int], steps: Sequence[float]) -> None:
+        """Push every accessor in order; the state ends slot for slot equal
+        to repeated `push`, floats included, because the same additions run
+        in the same order. `steps` is `entropy_steps(capacity)`: a count
+        entering at c adds steps[c], one leaving at c adds -steps[c - 1]."""
+        life = self.life_counts
+        if life is not None:
+            for a in accessors:
+                life[a] = life.get(a, 0) + 1
+        cap = self.capacity
+        window = self.window
+        counts = self.counts
+        get = counts.get
+        distinct = self.distinct
+        acc = self.entropy_acc
+        room = cap - self.fill
+        if room:
+            fresh = accessors[:room]
+            accessors = accessors[room:]
+            window.extend(fresh)
+            for a in fresh:
+                c = get(a, 0)
+                counts[a] = c + 1
+                if c == 0:
+                    distinct += 1
+                acc += steps[c]
+            self.fill += len(fresh)
+            self.ta += len(fresh)
+            if self.fill == cap:
+                # the first full window is always sampled: ta == capacity
+                self.av_sum += distinct
+                h = math.log2(cap) - acc / cap
+                self.h_sum += h if h > 0.0 else 0.0
+                self.snapshots += 1
+        n = len(accessors)
+        if n:
+            head = self.head
+            # the accessor leaving at each step: the window from its oldest
+            # slot on, then the accessors of this batch itself
+            if head + n <= cap:
+                leaving = window[head : head + n]
+            else:
+                leaving = window[head:] + window[:head] + accessors
+            stride = self.stride
+            until = stride - (self.ta - cap) % stride  # steps to the next sample
+            av_sum = self.av_sum
+            h_sum = self.h_sum
+            snapshots = self.snapshots
+            log2w = math.log2(cap)
+            for old, a in zip(leaving, accessors):
+                c = counts[old]
+                if c == 1:
+                    del counts[old]
+                    distinct -= 1
+                else:
+                    counts[old] = c - 1
+                acc -= steps[c - 1]
+                c = get(a, 0)
+                counts[a] = c + 1
+                if c == 0:
+                    distinct += 1
+                acc += steps[c]
+                until -= 1
+                if until == 0:
+                    until = stride
+                    av_sum += distinct
+                    h = log2w - acc / cap
+                    h_sum += h if h > 0.0 else 0.0
+                    snapshots += 1
+            self.av_sum = av_sum
+            self.h_sum = h_sum
+            self.snapshots = snapshots
+            self.ta += n
+            # write the ring buffer back as push would have left it
+            end = (head + n) % cap
+            if n >= cap:
+                tail = accessors[-cap:]
+                window[end:] = tail[: cap - end]
+                window[:end] = tail[cap - end :]
+            elif head + n <= cap:
+                window[head : head + n] = accessors
+            else:
+                window[head:] = accessors[: cap - head]
+                window[:end] = accessors[cap - head :]
+            self.head = end
+        self.distinct = distinct
+        self.entropy_acc = acc
 
     # --- windowed metrics -------------------------------------------------
 
@@ -222,6 +319,10 @@ class BigramReport:
 class BigramTables:
     """Accumulates per-type left/right accessor statistics over token spans.
 
+    Observed pairs are buffered per type and side and replayed into the
+    windows in batches (`AccessorState.extend`); reading `left` or `right`,
+    or finalizing, applies every pair observed so far.
+
     One instance is owned by exactly one sequential accumulation pass;
     independent corpora use independent tables.
     """
@@ -241,9 +342,29 @@ class BigramTables:
         self.lifetime_eta = lifetime_eta
         self.type_ids: Dict[str, int] = {}
         self.type_strings: List[str] = []
-        self.left: List[AccessorState] = []
-        self.right: List[AccessorState] = []
+        self._left: List[AccessorState] = []
+        self._right: List[AccessorState] = []
+        # accessor ids observed but not yet replayed into the windows, per
+        # type and side; per-type order is all a window depends on
+        self._pending_left: List[List[int]] = []
+        self._pending_right: List[List[int]] = []
+        self._pending = 0
+        # entropy steps for the counts reached so far: no count exceeds the
+        # window or the pairs seen, and a huge window must not cost memory
+        self._steps: List[float] = []
         self.total_pairs = 0
+
+    @property
+    def left(self) -> List[AccessorState]:
+        """Predecessor-side state of every type id, with all pairs applied."""
+        self._flush()
+        return self._left
+
+    @property
+    def right(self) -> List[AccessorState]:
+        """Successor-side state of every type id, with all pairs applied."""
+        self._flush()
+        return self._right
 
     def _intern(self, piece: str) -> int:
         tid = self.type_ids.get(piece)
@@ -251,12 +372,12 @@ class BigramTables:
             tid = len(self.type_strings)
             self.type_ids[piece] = tid
             self.type_strings.append(piece)
-            self.left.append(
-                AccessorState(self.window, self.stride, self.lifetime_eta)
-            )
-            self.right.append(
-                AccessorState(self.window, self.stride, self.lifetime_eta)
-            )
+            for states, pending in (
+                (self._left, self._pending_left),
+                (self._right, self._pending_right),
+            ):
+                states.append(AccessorState(self.window, self.stride, self.lifetime_eta))
+                pending.append([])
         return tid
 
     def observe_span(self, pieces: Sequence[str]) -> None:
@@ -264,17 +385,45 @@ class BigramTables:
         and last token each tally one dummy."""
         if not pieces:
             return
-        tids = [self._intern(p) for p in pieces]
-        left = self.left
-        right = self.right
-        left[tids[0]].dummies += 1
-        right[tids[-1]].dummies += 1
+        type_ids = self.type_ids
+        try:
+            tids = [type_ids[p] for p in pieces]
+        except KeyError:
+            tids = [self._intern(p) for p in pieces]
+        self._left[tids[0]].dummies += 1
+        self._right[tids[-1]].dummies += 1
+        pairs = len(tids) - 1
+        if not pairs:
+            return
+        pending_left = self._pending_left
+        pending_right = self._pending_right
         prev = tids[0]
         for cur in tids[1:]:
-            right[prev].push(cur)
-            left[cur].push(prev)
+            pending_right[prev].append(cur)
+            pending_left[cur].append(prev)
             prev = cur
-        self.total_pairs += len(tids) - 1
+        self.total_pairs += pairs
+        self._pending += pairs
+        if self._pending >= _FLUSH_PAIRS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Replay the pending accessors into their windows."""
+        if not self._pending:
+            return
+        steps = self._steps
+        need = min(self.window, self.total_pairs)
+        if len(steps) < need:
+            steps += entropy_steps(need, len(steps))
+        for states, pending in (
+            (self._left, self._pending_left),
+            (self._right, self._pending_right),
+        ):
+            for tid, accessors in enumerate(pending):
+                if accessors:
+                    states[tid].extend(accessors, steps)
+                    pending[tid] = []
+        self._pending = 0
 
     def observe_stream(self, stream: Iterable[Token]) -> None:
         """Consume a flagged token stream, splitting it into spans."""

@@ -4,10 +4,15 @@ Lines split on whitespace runs, and every maximal run of Punctuation-category
 characters becomes its own pretoken, so punctuation never sticks to letters.
 Unicode general categories come from the stdlib `unicodedata` module; the
 pinned UCD version is `unicodedata.unidata_version` (documented in README).
+
+ASCII lines take a regular-expression fast path whose punctuation class is
+derived from the same `unicodedata` categories; it gives output identical to
+the character loop that handles every other line.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from typing import List
 
@@ -18,6 +23,14 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+_ASCII_PUNCT = re.escape(
+    "".join(chr(c) for c in range(128) if _is_punct(chr(c)))
+)
+# maximal runs of punctuation, or of anything but whitespace and punctuation;
+# `\s` and str.isspace agree on every ASCII character
+_ASCII_PRETOKEN = re.compile(f"[{_ASCII_PUNCT}]+|[^\\s{_ASCII_PUNCT}]+")
+
+
 def pretokenize(line: str) -> List[str]:
     """Split a line into pretokens.
 
@@ -25,6 +38,13 @@ def pretokenize(line: str) -> List[str]:
     run is emitted as its own pretoken. Concatenating the pretokens yields
     the line minus whitespace. "don't stop." -> [don, ', t, stop, .]
     """
+    if line.isascii():
+        return _ASCII_PRETOKEN.findall(line)
+    return _pretokenize_loop(line)
+
+
+def _pretokenize_loop(line: str) -> List[str]:
+    """The character loop behind `pretokenize`, for any line."""
     pretokens: List[str] = []
     buf: List[str] = []
     buf_is_punct = False

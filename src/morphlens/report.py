@@ -18,9 +18,8 @@ shared settings and one `[language:NAME]` section per language. Example:
     vocab = vocabs/en.tsv
     grouping = Fusional
 
-Languages are processed as independent units of work; one failing language
-marks its row failed without killing the batch. Worker count can be
-overridden with the MORPHLENS_WORKERS environment variable.
+Languages are processed one after another as independent units of work;
+one failing language marks its row failed without killing the batch.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import configparser
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -285,8 +283,8 @@ def _row_from_metrics(spec: LanguageSpec, m: LanguageMetrics) -> ReportRow:
 def run(config: RunConfig) -> ComparisonReport:
     """Compute the full metric battery for every configured language.
 
-    Languages run concurrently; a failure marks the row failed and the batch
-    continues. Deterministic given config (all pipelines are deterministic).
+    Languages run in config order; a failure marks the row failed and the
+    batch continues. Deterministic given config (all pipelines are deterministic).
     """
     config.validate()
 
@@ -312,14 +310,7 @@ def run(config: RunConfig) -> ComparisonReport:
                 error=str(e),
             )
 
-    workers = int(os.environ.get("MORPHLENS_WORKERS", "0")) or min(
-        8, len(config.languages)
-    )
-    if workers > 1 and len(config.languages) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, config.languages))
-    else:
-        rows = [one(spec) for spec in config.languages]
+    rows = [one(spec) for spec in config.languages]
     return ComparisonReport(rows=rows, sort_key=config.sort_by)
 
 

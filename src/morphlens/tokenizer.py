@@ -9,6 +9,7 @@ used as stored; there is no renormalization and no training here.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -64,34 +65,41 @@ def load_vocab(
     unk_piece: str = DEFAULT_UNK,
     marker: str = DEFAULT_MARKER,
 ) -> Vocabulary:
-    """Load a TSV vocabulary. Duplicate pieces and non-numeric scores are
-    errors, reported with their line number."""
+    """Load a TSV vocabulary. Duplicate pieces and non-numeric or non-finite
+    scores are errors, reported with their line number; invalid UTF-8 is an
+    error reported with its byte offset."""
     pieces: Dict[str, float] = {}
     uses_marker = False
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise VocabularyError(
-                    f"{path}:{lineno}: expected 'piece<TAB>logprob', got {line!r}"
-                )
-            piece, score_str = parts
-            if not piece:
-                raise VocabularyError(f"{path}:{lineno}: empty piece")
-            if piece in pieces:
-                raise VocabularyError(f"{path}:{lineno}: duplicate piece {piece!r}")
-            try:
-                score = float(score_str)
-            except ValueError:
-                raise VocabularyError(
-                    f"{path}:{lineno}: non-numeric score {score_str!r}"
-                ) from None
-            pieces[piece] = score
-            if marker in piece:
-                uses_marker = True
+    try:
+        with open(path, encoding="utf-8") as f:
+            # universal newlines: "\r\n" and "\r" already read as "\n"
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise VocabularyError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise VocabularyError(
+                f"{path}:{lineno}: expected 'piece<TAB>logprob', got {line!r}"
+            )
+        piece, score_str = parts
+        if not piece:
+            raise VocabularyError(f"{path}:{lineno}: empty piece")
+        if piece in pieces:
+            raise VocabularyError(f"{path}:{lineno}: duplicate piece {piece!r}")
+        try:
+            score = float(score_str)
+        except ValueError:
+            raise VocabularyError(
+                f"{path}:{lineno}: non-numeric score {score_str!r}"
+            ) from None
+        if not math.isfinite(score):
+            raise VocabularyError(f"{path}:{lineno}: non-finite score {score_str!r}")
+        pieces[piece] = score
+        if marker in piece:
+            uses_marker = True
     return Vocabulary(
         pieces=pieces,
         unk_piece=unk_piece,

@@ -1,12 +1,19 @@
 import math
+import os
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morphlens import bigram
 from morphlens.bigram import (
     AccessorState,
     BigramTables,
     MetricsError,
+    entropy_steps,
     observe_stream,
 )
 from morphlens.tokenizer import Token
@@ -347,3 +354,150 @@ def test_tumbling_stride_subsamples_snapshots():
     tumbling = state_with(seq, capacity=8, stride=8)
     assert moving.snapshots == 64 - 8 + 1
     assert tumbling.snapshots == 8
+
+
+# --- batched replay against the incremental reference ----------------------
+
+
+def slots(state):
+    return {name: getattr(state, name) for name in AccessorState.__slots__}
+
+
+@given(
+    window=st.integers(1, 20),
+    stride=st.integers(1, 4),
+    lifetime=st.booleans(),
+    accessors=st.lists(st.integers(0, 6), max_size=120),
+    cuts=st.lists(st.integers(0, 120), max_size=6),
+)
+@settings(max_examples=400, deadline=None)
+def test_extend_equals_repeated_push(window, stride, lifetime, accessors, cuts):
+    # floats compare with ==: extend must add the same terms in the same order
+    ref = AccessorState(window, stride, lifetime)
+    batched = AccessorState(window, stride, lifetime)
+    steps = entropy_steps(window)
+    start = 0
+    for stop in sorted(min(c, len(accessors)) for c in cuts) + [len(accessors)]:
+        chunk = accessors[start:stop]
+        for a in chunk:
+            ref.push(a)
+        batched.extend(chunk, steps)
+        assert slots(batched) == slots(ref)
+        start = stop
+
+
+def test_extend_default_window_large_counts():
+    rng = random.Random(29)
+    accessors = [rng.randrange(3) for _ in range(5000)]
+    ref = state_with(accessors)
+    batched = AccessorState()
+    steps = entropy_steps(batched.capacity)
+    for i in range(0, len(accessors), 700):
+        batched.extend(accessors[i : i + 700], steps)
+    assert slots(batched) == slots(ref)
+
+
+def replay(spans, window=bigram.DEFAULT_WINDOW, stride=1, lifetime=False):
+    """Pairs pushed one at a time, as BigramTables did before batching."""
+    ids, left, right = {}, [], []
+    for span in spans:
+        tids = []
+        for piece in span:
+            if piece not in ids:
+                ids[piece] = len(left)
+                left.append(AccessorState(window, stride, lifetime))
+                right.append(AccessorState(window, stride, lifetime))
+            tids.append(ids[piece])
+        left[tids[0]].dummies += 1
+        right[tids[-1]].dummies += 1
+        for a, b in zip(tids, tids[1:]):
+            right[a].push(b)
+            left[b].push(a)
+    return ids, left, right
+
+
+def assert_tables_equal(tables, spans, **kwargs):
+    ids, left, right = replay(spans, **kwargs)
+    assert tables.type_ids == ids
+    assert [slots(s) for s in tables.left] == [slots(s) for s in left]
+    assert [slots(s) for s in tables.right] == [slots(s) for s in right]
+    assert tables.total_pairs == sum(len(span) - 1 for span in spans)
+
+
+@given(
+    spans=st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7), max_size=60),
+    reads=st.lists(st.integers(0, 60), max_size=5),
+    window=st.integers(1, 12),
+    stride=st.integers(1, 3),
+    lifetime=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_tables_read_before_finalize_equal_unbatched(spans, reads, window, stride, lifetime):
+    t = BigramTables(window=window, stride=stride, lifetime_eta=lifetime)
+    done = 0
+    for stop in sorted(min(r, len(spans)) for r in reads) + [len(spans)]:
+        for span in spans[done:stop]:
+            t.observe_span(span)
+        done = stop
+        assert_tables_equal(t, spans[:done], window=window, stride=stride, lifetime=lifetime)
+
+
+def test_tables_past_the_flush_threshold_equal_unbatched():
+    rng = random.Random(31)
+    spans = random_spans(rng, 16000, list("abcdefghijkl"))
+    assert sum(len(s) - 1 for s in spans) > 1.2 * bigram._FLUSH_PAIRS
+    t = BigramTables(window=50)
+    for span in spans:
+        t.observe_span(span)
+    assert_tables_equal(t, spans, window=50)
+    report = t.finalize()
+    ids, left, right = replay(spans, window=50)
+    assert [tm.av_l for tm in report.types] == [left[ids[tm.type]].windowed_av() for tm in report.types]
+
+
+# --- c*log2(c) table under threads -----------------------------------------
+
+
+def test_clog2_table_is_immutable_and_exact():
+    assert isinstance(bigram._CLOG2, tuple)
+    assert bigram._clog2(0) == 0.0
+    for c in range(1, 5001):
+        assert bigram._clog2(c) == c * math.log2(c)
+
+
+def test_clog2_threads_stress():
+    # every thread drives its own tables with counts far past the precomputed
+    # table, so a shared cache growing on demand would race between threads
+    window = 20_000
+    rng = random.Random(37)
+    spans = random_spans(rng, 3000, list("abcd"))
+
+    def metrics():
+        t = BigramTables(window=window, lifetime_eta=True)
+        for span in spans:
+            t.observe_span(span)
+        return t.finalize()
+
+    n_threads = len(os.sched_getaffinity(0)) + 2 if hasattr(os, "sched_getaffinity") else 4
+    results = [None] * n_threads
+    start = threading.Barrier(n_threads)
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = metrics()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    expected = metrics()
+    assert all(r == expected for r in results)
+    for c in range(1, window + 2):
+        assert bigram._clog2(c) == c * math.log2(c)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlens.pretokenize import is_lexical, pretokenize
+from morphlens.pretokenize import _pretokenize_loop, is_lexical, pretokenize
 
 
 def test_plain_sentence():
@@ -53,6 +53,28 @@ def test_no_pretoken_mixes_letters_and_punctuation(line):
 def test_concatenation_preserves_content(line):
     joined = "".join(pretokenize(line))
     assert joined == "".join(c for c in line if not c.isspace())
+
+
+def test_ascii_fast_path_equals_loop_on_every_code_point():
+    chars = [chr(c) for c in range(128)]
+    for a in chars:
+        for b in chars:
+            for line in (a + b, "x" + a + b + "y", a + "." + b, a + " " + b):
+                assert pretokenize(line) == _pretokenize_loop(line), repr(line)
+
+
+def test_ascii_fast_path_control_spaces_and_symbols():
+    # \x0b \x0c \x1c-\x1f are whitespace to str.isspace; S-category symbols
+    # are not punctuation and stay attached to letters
+    assert pretokenize("a\x0bb\x0cc\x1cd\x1de\x1ff\x1eg") == list("abcdefg")
+    assert pretokenize("a$b+c<d=e>f^g`h|i~j") == ["a$b+c<d=e>f^g`h|i~j"]
+    assert pretokenize("x_y {z}") == ["x", "_", "y", "{", "z", "}"]
+
+
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=80))
+@settings(max_examples=300)
+def test_ascii_fast_path_equals_loop(line):
+    assert pretokenize(line) == _pretokenize_loop(line)
 
 
 def test_is_lexical_letters():

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import morphlens
 from morphlens.report import (
     ComparisonReport,
     ConfigError,
@@ -135,6 +139,21 @@ def test_analyze_language_populates_everything():
     assert 0 <= m.renyi <= 1
     assert m.mwl > 0 and m.s > 0
     assert m.bigram.macro_av is not None
+
+
+def test_analyze_language_does_not_import_numpy():
+    # numpy would cost the corpus path about 13 MB of RSS and 0.2 s of start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    code = (
+        "import sys, morphlens\n"
+        "from morphlens import Corpus, Vocabulary, analyze_language\n"
+        f"analyze_language(Corpus.from_lines({CORPUS_A.splitlines()!r}),\n"
+        "    Vocabulary(pieces={'a': -2.0, 'b': -2.2, 'c': -2.5}), window=8, mattr_window=10)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analyze_language_empty_corpus_errors():

@@ -46,6 +46,21 @@ def test_load_nonnumeric_score_errors(tmp_path):
         load_vocab(p)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+def test_load_nonfinite_score_errors(tmp_path, score):
+    p = tmp_path / "v.tsv"
+    p.write_text(f"a\t-1.0\nb\t{score}\n", encoding="utf-8")
+    with pytest.raises(VocabularyError, match=r"v\.tsv:2: non-finite score"):
+        load_vocab(p)
+
+
+def test_load_invalid_utf8_errors(tmp_path):
+    p = tmp_path / "v.tsv"
+    p.write_bytes(b"a\t-1.0\n\xff\xfe\t-2.0\n")
+    with pytest.raises(VocabularyError, match=r"v\.tsv: invalid UTF-8 at byte offset 7$"):
+        load_vocab(p)
+
+
 def test_load_50k_pieces(tmp_path):
     p = tmp_path / "v.tsv"
     p.write_text(

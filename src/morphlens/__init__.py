@@ -6,7 +6,7 @@ unigram and word metrics, morphological boundary-alignment evaluation, and
 the statistics needed to compare metric populations soundly.
 """
 
-from .bigram import BigramReport, BigramTables, observe_stream
+from .bigram import BigramReport, BigramTables
 from .corpus import (
     Corpus,
     CorpusCounts,
@@ -27,7 +27,6 @@ from .morph_eval import (
 from .pretokenize import is_lexical, pretokenize
 from .report import RunConfig, analyze_language, emit, load_config, run
 from .tokenizer import (
-    Token,
     Vocabulary,
     load_vocab,
     segment_greedy,

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pretokenize import DEFAULT_MARKER, is_lexical
-from .tokenizer import Token
 
 DEFAULT_WINDOW = 1000
 
@@ -425,21 +424,6 @@ class BigramTables:
                     pending[tid] = []
         self._pending = 0
 
-    def observe_stream(self, stream: Iterable[Token]) -> None:
-        """Consume a flagged token stream, splitting it into spans."""
-        span: List[str] = []
-        for token in stream:
-            if token.word_initial and span:
-                # tolerate a missing word_final flag on the previous span
-                self.observe_span(span)
-                span = []
-            span.append(token.piece)
-            if token.word_final:
-                self.observe_span(span)
-                span = []
-        if span:
-            self.observe_span(span)
-
     def frequency(self, tid: int) -> int:
         left = self.left[tid]
         return left.ta + left.dummies
@@ -525,8 +509,3 @@ class BigramTables:
             degenerate=filtered_count == len(lexical),
         )
 
-
-def observe_stream(tables: BigramTables, stream: Iterable[Token]) -> BigramTables:
-    """Functional wrapper over BigramTables.observe_stream."""
-    tables.observe_stream(stream)
-    return tables

@@ -2,7 +2,8 @@
 
 Subcommands: counts, byte-premium, tokenize, bigram, unigram, align,
 stats (welch|gap|holm|dup|ols), run. Exit codes for `run`: 0 success,
-1 partial failure, 2 config error.
+1 partial failure, 2 config error. Input errors (missing files, invalid
+UTF-8, bad vocabularies, no lexical types) exit 1 with a one-line message.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from typing import List, Optional
 
 from . import bigram as bigram_mod
 from . import morph_eval, stats
-from .corpus import byte_premium, corpus_counts, read_lines
+from .bigram import MetricsError
+from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
 from .pretokenize import DEFAULT_MARKER, pretokenize
 from .report import ConfigError, emit, load_config
 from .report import run as run_pipeline
-from .tokenizer import load_vocab, segment_greedy, segment_viterbi
+from .tokenizer import (
+    VocabularyError,
+    load_vocab,
+    segment_greedy,
+    segment_viterbi,
+    tokenize_corpus,
+)
 from .unigram import (
     DEFAULT_MATTR_WINDOW,
     DEFAULT_RENYI_ALPHA,
@@ -55,26 +63,9 @@ def cmd_byte_premium(args) -> int:
 
 def cmd_tokenize(args) -> int:
     vocab = load_vocab(args.vocab)
-    segment = segment_greedy if args.greedy else segment_viterbi
-    cache = {}
-    out_lines = []
-    marker = vocab.boundary_marker
-    for line in read_lines(args.corpus):
-        if args.no_pretokenize:
-            if not line:
-                out_lines.append("")
-                continue
-            text = line.replace(" ", marker) if marker else line
-            tokens = segment(text, vocab)
-        else:
-            tokens = []
-            for pretoken in pretokenize(line):
-                seg = cache.get(pretoken)
-                if seg is None:
-                    seg = segment(pretoken, vocab)
-                    cache[pretoken] = seg
-                tokens.extend(seg)
-        out_lines.append(" ".join(tokens))
+    corpus = read_lines(args.corpus)
+    lines = tokenize_corpus(corpus, vocab, not args.no_pretokenize, args.greedy)
+    out_lines = [" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines]
     _write(args.out, "\n".join(out_lines) + "\n")
     return 0
 
@@ -88,24 +79,13 @@ def cmd_bigram(args) -> int:
     tables = bigram_mod.BigramTables(
         window=args.window, stride=args.stride, lifetime_eta=args.lifetime_eta
     )
-    segment = segment_greedy if args.greedy else segment_viterbi
-    cache = {}
-    marker = vocab.boundary_marker
-    for line in read_lines(args.corpus):
-        if args.no_pretokenize:
-            if not line:
-                continue
-            text = line.replace(" ", marker) if marker else line
-            tables.observe_span(segment(text, vocab))
-        else:
-            for pretoken in pretokenize(line):
-                seg = cache.get(pretoken)
-                if seg is None:
-                    seg = segment(pretoken, vocab)
-                    cache[pretoken] = seg
-                tables.observe_span(seg)
+    corpus = read_lines(args.corpus)
+    for _, spans in tokenize_corpus(corpus, vocab, not args.no_pretokenize, args.greedy):
+        for _, pieces in spans:
+            tables.observe_span(pieces)
     report = tables.finalize(
-        marker=marker or DEFAULT_MARKER, full_windows_only=args.full_windows_only
+        marker=vocab.boundary_marker or DEFAULT_MARKER,
+        full_windows_only=args.full_windows_only,
     )
     pct = args.percent
     lines = [
@@ -145,16 +125,9 @@ def cmd_bigram(args) -> int:
 
 def cmd_unigram(args) -> int:
     vocab = load_vocab(args.vocab)
-    segment = segment_greedy if args.greedy else segment_viterbi
-    cache = {}
-    tokens: List[str] = []
-    for line in read_lines(args.corpus):
-        for pretoken in pretokenize(line):
-            seg = cache.get(pretoken)
-            if seg is None:
-                seg = segment(pretoken, vocab)
-                cache[pretoken] = seg
-            tokens.extend(seg)
+    # always pretokenized: the command has no --no-pretokenize
+    lines = tokenize_corpus(read_lines(args.corpus), vocab, greedy=args.greedy)
+    tokens = [p for _, spans in lines for _, pieces in spans for p in pieces]
     if not tokens:
         print("error: corpus produced no tokens", file=sys.stderr)
         return 1
@@ -324,6 +297,9 @@ def cmd_run(args) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     report = run_pipeline(config)
+    for row in report.rows:
+        if row.status != "ok":
+            print(f"{row.language}: {row.error}", file=sys.stderr)
     data = emit(report, config.format, config.percent)
     if args.out and args.out != "-":
         with open(args.out, "wb") as f:
@@ -432,8 +408,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so it goes first
         return 0
+    except (CorpusError, VocabularyError, MetricsError, OSError) as e:
+        print(f"morphlens: error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

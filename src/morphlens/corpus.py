@@ -107,6 +107,12 @@ class CorpusCounts:
     csc: int = 0  # lines
     ctc: Optional[int] = None  # tokens, present only after tokenization
 
+    def add(self, line: str) -> None:
+        """Count one line: csc, ccc and cbc."""
+        self.csc += 1
+        self.ccc += len(line)
+        self.cbc += len(line.encode("utf-8"))
+
 
 def read_lines(path: Union[str, os.PathLike]) -> Corpus:
     """Open a corpus for streaming. I/O and decode errors surface lazily,
@@ -146,9 +152,7 @@ def corpus_counts(
     """
     counts = CorpusCounts()
     for line in corpus.lines():
-        counts.csc += 1
-        counts.ccc += len(line)
-        counts.cbc += len(line.encode("utf-8"))
+        counts.add(line)
         if words is not None:
             counts.cwc += len(words(line))
     return counts

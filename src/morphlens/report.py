@@ -28,13 +28,13 @@ import configparser
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Union
 
 from .bigram import DEFAULT_WINDOW, BigramReport, BigramTables
-from .corpus import Corpus, CorpusCounts, corpus_counts, read_lines
-from .pretokenize import DEFAULT_MARKER, pretokenize
-from .tokenizer import Vocabulary, load_vocab, segment_greedy, segment_viterbi, strip_marker
+from .corpus import Corpus, CorpusCounts, read_lines
+from .pretokenize import DEFAULT_MARKER
+from .tokenizer import Vocabulary, load_vocab, tokenize_corpus
 from .unigram import (
     DEFAULT_MATTR_WINDOW,
     DEFAULT_RENYI_ALPHA,
@@ -73,6 +73,17 @@ class RunConfig:
     def validate(self) -> None:
         if self.window < 1:
             raise ConfigError("window must be >= 1")
+        if self.stride < 1:
+            raise ConfigError("stride must be >= 1")
+        if self.mattr_window < 1:
+            raise ConfigError("mattr_window must be >= 1")
+        if not self.alpha >= 0:  # also rejects nan
+            raise ConfigError("alpha must be >= 0")
+        if self.sort_by not in _NUMERIC_COLUMNS:
+            raise ConfigError(
+                f"unknown sort_by column {self.sort_by!r}; "
+                f"expected one of {', '.join(_NUMERIC_COLUMNS)}"
+            )
         if not self.languages:
             raise ConfigError("no languages configured")
         if self.format not in ("tsv", "csv", "json"):
@@ -84,11 +95,17 @@ class RunConfig:
                 raise ConfigError(f"{lang.name}: vocab not found: {lang.vocab}")
 
 
+_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"languages"}
+
+
 def load_config(path: Union[str, os.PathLike]) -> RunConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path, encoding="utf-8"):
         raise ConfigError(f"cannot read config file {path!r}")
     run = parser["run"] if parser.has_section("run") else {}
+    unknown = sorted(set(run) - _RUN_KEYS)
+    if unknown:
+        raise ConfigError(f"[run]: unknown key(s) {', '.join(unknown)}")
     languages = []
     for section in parser.sections():
         if not section.startswith("language:"):
@@ -110,7 +127,10 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         raw = run.get(key)
         if raw is None:
             return default
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        words = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.strip().lower() not in words:
+            raise ConfigError(f"[run] {key}: expected one of {', '.join(words)}, got {raw!r}")
+        return words[raw.strip().lower()]
 
     config = RunConfig(
         languages=languages,
@@ -155,53 +175,35 @@ def analyze_language(
 ) -> LanguageMetrics:
     """One streaming pass computing corpus counts, bigram tables, and the
     unigram/word metric battery."""
-    segment = segment_greedy if greedy else segment_viterbi
-    cache: Dict[str, List[str]] = {}
     tables = BigramTables(window=window, stride=stride)
     tokens: List[str] = []
     counts = CorpusCounts()
     mwl_sum = 0.0
     s_sum = 0.0
-    word_count = 0
-    marker = vocab.boundary_marker
-
-    for line in corpus.lines():
-        counts.csc += 1
-        counts.ccc += len(line)
-        counts.cbc += len(line.encode("utf-8"))
+    for line, spans in tokenize_corpus(corpus, vocab, pretokenized, greedy):
+        counts.add(line)
         if pretokenized:
-            spans = []
-            for pretoken in pretokenize(line):
-                segmented = cache.get(pretoken)
-                if segmented is None:
-                    segmented = segment(pretoken, vocab)
-                    cache[pretoken] = segmented
-                spans.append(segmented)
-                mwl_sum += len(pretoken)
-                s_sum += len(segmented) / len(pretoken)
-                word_count += 1
             counts.cwc += len(spans)
-        else:
-            if not line:
-                continue
-            text = line.replace(" ", marker) if marker else line
-            spans = [segment(text, vocab)]
-        for span in spans:
-            tables.observe_span(span)
-            tokens.extend(span)
+        for text, pieces in spans:
+            tables.observe_span(pieces)
+            tokens.extend(pieces)
+            if pretokenized:
+                mwl_sum += len(text)
+                s_sum += len(pieces) / len(text)
 
     counts.ctc = len(tokens)
     if not tokens:
         raise ConfigError("corpus produced no tokens")
     freq = FrequencyTable.from_tokens(tokens)
+    marker = vocab.boundary_marker or DEFAULT_MARKER
     return LanguageMetrics(
         counts=counts,
-        bigram=tables.finalize(marker=marker or DEFAULT_MARKER),
+        bigram=tables.finalize(marker=marker),
         mattr=mattr(tokens, mattr_window),
-        mtl=mtl(tokens, marker or DEFAULT_MARKER),
+        mtl=mtl(tokens, marker),
         renyi=renyi_efficiency(freq, alpha),
-        s=(s_sum / word_count) if word_count else 0.0,
-        mwl=(mwl_sum / word_count) if word_count else 0.0,
+        s=(s_sum / counts.cwc) if counts.cwc else 0.0,
+        mwl=(mwl_sum / counts.cwc) if counts.cwc else 0.0,
     )
 
 
@@ -307,7 +309,7 @@ def run(config: RunConfig) -> ComparisonReport:
                 language=spec.name,
                 grouping=spec.grouping,
                 status="failed",
-                error=str(e),
+                error=f"{type(e).__name__}: {e}",
             )
 
     rows = [one(spec) for spec in config.languages]

@@ -1,6 +1,6 @@
 """Unigram-LM subword segmentation: vocabulary loading, Viterbi
-maximum-likelihood inference, a greedy longest-match baseline, and corpus
-streaming with word-boundary flags.
+maximum-likelihood inference, a greedy longest-match baseline, and the one
+corpus-to-word-spans pipeline every metric is computed from.
 
 Vocabulary files are UTF-8 TSV `piece<TAB>logprob` (natural log), the
 two-column export format of common unigram-LM tokenizer toolkits. Scores are
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .corpus import Corpus
 from .pretokenize import DEFAULT_MARKER, pretokenize
@@ -52,12 +52,6 @@ class Vocabulary:
 
     def __contains__(self, piece: str) -> bool:
         return piece in self.pieces
-
-
-class Token(NamedTuple):
-    piece: str
-    word_initial: bool
-    word_final: bool
 
 
 def load_vocab(
@@ -209,31 +203,35 @@ def tokenize_corpus(
     vocab: Vocabulary,
     pretokenized: bool = True,
     greedy: bool = False,
-) -> Iterator[Token]:
-    """Stream tokens with word_initial/word_final flags.
+) -> Iterator[Tuple[str, List[Tuple[str, List[str]]]]]:
+    """Yield one `(line, spans)` pair per corpus line, where `spans` lists the
+    line's word spans in order as `(text, pieces)` pairs.
 
-    Pretokenized mode segments each pretoken independently (bigram statistics
-    then stay within words). Otherwise each whole line is one span, with
-    whitespace rewritten to the boundary marker when the vocabulary uses one.
+    Pretokenized mode gives one span per pretoken, segmented on its own
+    (bigram statistics then stay within words). Equal pretokens share one
+    cached pieces list per call, so callers must not mutate it.
+
+    Otherwise a nonempty line is one span whose text is the line with every
+    U+0020 space (and no other whitespace) rewritten to the boundary marker
+    when the vocabulary uses one; an empty line has no spans.
     """
+    # module globals read at call time, so rebinding them takes effect
     segment = segment_greedy if greedy else segment_viterbi
-    cache: Dict[str, List[str]] = {}
-    for line in corpus.lines():
-        if pretokenized:
+    if pretokenized:
+        cache: Dict[str, List[str]] = {}
+        for line in corpus.lines():
+            spans = []
             for pretoken in pretokenize(line):
-                tokens = cache.get(pretoken)
-                if tokens is None:
-                    tokens = segment(pretoken, vocab)
-                    cache[pretoken] = tokens
-                last = len(tokens) - 1
-                for k, piece in enumerate(tokens):
-                    yield Token(piece, k == 0, k == last)
-        else:
+                pieces = cache.get(pretoken)
+                if pieces is None:
+                    pieces = cache[pretoken] = segment(pretoken, vocab)
+                spans.append((pretoken, pieces))
+            yield line, spans
+    else:
+        marker = vocab.boundary_marker
+        for line in corpus.lines():
             if not line:
+                yield line, []
                 continue
-            marker = vocab.boundary_marker
             text = line.replace(" ", marker) if marker else line
-            tokens = segment(text, vocab)
-            last = len(tokens) - 1
-            for k, piece in enumerate(tokens):
-                yield Token(piece, k == 0, k == last)
+            yield line, [(text, segment(text, vocab))]

@@ -41,7 +41,7 @@ from morphlens.stats import (
     t_quantile,
     welch_t_test,
 )
-from morphlens.tokenizer import Token, Vocabulary, load_vocab, segment_viterbi
+from morphlens.tokenizer import Vocabulary, load_vocab, segment_viterbi
 
 
 def fixed_segmenter(table):

@@ -14,9 +14,7 @@ from morphlens.bigram import (
     BigramTables,
     MetricsError,
     entropy_steps,
-    observe_stream,
 )
-from morphlens.tokenizer import Token
 
 
 def state_with(accessors, capacity=1000, stride=1):
@@ -26,11 +24,9 @@ def state_with(accessors, capacity=1000, stride=1):
     return s
 
 
-def spans_to_stream(spans):
+def observe_spans(tables, spans):
     for span in spans:
-        n = len(span)
-        for i, piece in enumerate(span):
-            yield Token(piece, i == 0, i == n - 1)
+        tables.observe_span(span)
 
 
 # --- observation hand traces -----------------------------------------------
@@ -59,20 +55,22 @@ def test_span_structure_vs_merged():
     # "a b" x100 as two singleton spans: no pairs, only dummies;
     # the same pieces inside one span: 100 right accessors for a
     split = BigramTables()
-    split.observe_stream(spans_to_stream([["a"], ["b"]] * 100))
+    observe_spans(split, [["a"], ["b"]] * 100)
     a = split.type_ids["a"]
     assert split.right[a].ta == 0
     assert split.left[a].dummies == 100
 
     merged = BigramTables()
-    merged.observe_stream(spans_to_stream([["a", "b"]] * 100))
+    observe_spans(merged, [["a", "b"]] * 100)
     a = merged.type_ids["a"]
     assert merged.right[a].ta == 100
 
 
-def test_stream_splits_on_flags():
+def test_spans_do_not_pair_across():
+    # "x y" then "y x": the two y's are in different spans, so no y-y pair
     t = BigramTables()
-    observe_stream(t, spans_to_stream([["x", "y"], ["y", "x"]]))
+    t.observe_span(["x", "y"])
+    t.observe_span(["y", "x"])
     x, y = t.type_ids["x"], t.type_ids["y"]
     assert t.right[x].ta == 1 and t.right[y].ta == 1
     assert t.left[x].dummies == 1 and t.left[y].dummies == 1
@@ -232,7 +230,7 @@ def test_frequency_identity_fuzz():
     for _ in range(1000):
         t = BigramTables(window=8)
         spans = random_spans(rng, rng.randrange(1, 12), alphabet)
-        t.observe_stream(spans_to_stream(spans))
+        observe_spans(t, spans)
         freq = {}
         for span in spans:
             for piece in span:
@@ -250,7 +248,7 @@ def test_ta_total_identities():
     rng = random.Random(19)
     spans = random_spans(rng, 50, list("abcd"))
     t = BigramTables()
-    t.observe_stream(spans_to_stream(spans))
+    observe_spans(t, spans)
     n_tokens = sum(len(s) for s in spans)
     assert t.total_pairs == n_tokens - len(spans)
 
@@ -267,7 +265,7 @@ def test_finalize_no_lexical_types():
 
 def test_finalize_all_boundary_only():
     t = BigramTables()
-    t.observe_stream(spans_to_stream([["a"], ["b"]] * 50))
+    observe_spans(t, [["a"], ["b"]] * 50)
     report = t.finalize()
     assert report.degenerate
     assert report.lr == 1.0
@@ -278,7 +276,7 @@ def test_finalize_all_boundary_only():
 def test_finalize_half_filtered():
     # a,b always bound together (retained); c,d always alone (filtered)
     t = BigramTables()
-    t.observe_stream(spans_to_stream([["a", "b"], ["c"], ["d"]] * 50))
+    observe_spans(t, [["a", "b"], ["c"], ["d"]] * 50)
     report = t.finalize()
     assert report.lr == pytest.approx(0.5)
     assert report.retained_count == 2
@@ -313,7 +311,7 @@ def test_finalize_marker_insensitive_identity():
 
 def test_finalize_nonlexical_excluded_from_lr():
     t = BigramTables()
-    t.observe_stream(spans_to_stream([["a", "."], ["a", "b"]] * 30))
+    observe_spans(t, [["a", "."], ["a", "b"]] * 30)
     report = t.finalize()
     assert all(x.type != "." for x in report.types)
 
@@ -325,7 +323,7 @@ def test_full_windows_only_restricts_macro_set():
         ["z", "a"],
         ["a", "z"],
     ]
-    t.observe_stream(spans_to_stream(spans))
+    observe_spans(t, spans)
     loose = t.finalize()
     strict = t.finalize(full_windows_only=True)
     assert strict.retained_count < loose.retained_count
@@ -333,7 +331,7 @@ def test_full_windows_only_restricts_macro_set():
 
 def test_pools_count_accessor_domains():
     t = BigramTables()
-    t.observe_stream(spans_to_stream([["a", "b", "c"], ["a", "c"]]))
+    observe_spans(t, [["a", "b", "c"], ["a", "c"]])
     pool_left, pool_right = t.pools()
     # left pool: types occurring as someone's left neighbor = {a, b}
     assert pool_left == 2

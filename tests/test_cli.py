@@ -3,6 +3,9 @@ import json
 import pytest
 
 from morphlens.cli import main
+from morphlens.corpus import read_lines
+from morphlens.report import analyze_language
+from morphlens.tokenizer import load_vocab
 
 
 CORPUS = "aba bab ca\nca aba aba\nbab ca aba\n" * 5
@@ -234,8 +237,10 @@ def test_run_exit_codes(capsys, tmp_path, lang):
         f"[language:Broken]\ncorpus = {broken}\nvocab = {vocab}\n",
         encoding="utf-8",
     )
-    code, _ = run_cli(capsys, "run", "--config", str(partial))
+    code = main(["run", "--config", str(partial)])
+    err = capsys.readouterr().err
     assert code == 1
+    assert err == "Broken: CorpusError: invalid UTF-8 at byte offset 0\n"
 
 
 def test_run_writes_output_file(capsys, tmp_path, lang):
@@ -252,3 +257,112 @@ def test_run_writes_output_file(capsys, tmp_path, lang):
     payload = json.loads(out_path.read_text(encoding="utf-8"))
     assert payload[0]["language"] == "L"
     assert payload[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "stride = 0",
+        "mattr_window = 0",
+        "alpha = -1",
+        "sort_by = nosuch",
+        "pretokenized = maybe",
+        "greedy = 2",
+        "percent = yes please",
+        "windw = 5",
+    ],
+    ids=lambda setting: setting.split(" = ")[0],
+)
+def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[run]\n{setting}\n[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n",
+        encoding="utf-8",
+    )
+    code = main(["run", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:")
+    assert captured.out == ""
+
+
+def test_run_accepts_boolean_words(capsys, tmp_path, lang):
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_text(
+        "[run]\nwindow = 8\nmattr_window = 10\npretokenized = Off\ngreedy = no\n"
+        f"percent = 1\nsort_by = ctc\n[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n",
+        encoding="utf-8",
+    )
+    code, out = run_cli(capsys, "run", "--config", str(config))
+    assert code == 0
+    row = dict(zip(*(line.split("\t") for line in out.splitlines())))
+    assert row["status"] == "ok"
+    assert row["cwc"] == "0"  # whole-line mode counts no pretokens
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing-corpus",
+        "missing-vocab",
+        "nan-vocab",
+        "undecodable-corpus",
+        "counts-missing",
+    ],
+)
+def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
+    corpus, vocab = lang
+    nan_vocab = tmp_path / "nan.tsv"
+    nan_vocab.write_text("a\tnan\n", encoding="utf-8")
+    undecodable = tmp_path / "ff.txt"
+    undecodable.write_bytes(b"ab\xff\n")
+    missing = str(tmp_path / "missing")
+    argv = {
+        "missing-corpus": ["tokenize", missing, "--vocab", str(vocab)],
+        "missing-vocab": ["unigram", str(corpus), "--vocab", missing],
+        "nan-vocab": ["bigram", str(corpus), "--vocab", str(nan_vocab)],
+        "undecodable-corpus": ["tokenize", str(undecodable), "--vocab", str(vocab)],
+        "counts-missing": ["counts", missing],
+    }[case]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.startswith("morphlens: error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "pretokenized", [True, False], ids=["pretokenized", "wholeline"]
+)
+def test_commands_agree_with_analyze_language(capsys, lang, pretokenized):
+    corpus, vocab = lang
+    m = analyze_language(
+        read_lines(corpus),
+        load_vocab(vocab),
+        window=8,
+        mattr_window=10,
+        pretokenized=pretokenized,
+    )
+    mode = [] if pretokenized else ["--no-pretokenize"]
+    code, out = run_cli(
+        capsys, "bigram", str(corpus), "--vocab", str(vocab), "--window", "8", *mode
+    )
+    assert code == 0
+    footer = dict(line.split("\t") for line in out.splitlines() if line.startswith("#"))
+    assert footer["# macro_eta"] == f"{m.bigram.macro_eta:.4f}"
+    assert footer["# lr"] == f"{m.bigram.lr:.4f}"
+    if pretokenized:  # the unigram command always pretokenizes
+        code, out = run_cli(
+            capsys, "unigram", str(corpus), "--vocab", str(vocab), "--mattr-window", "10"
+        )
+        assert code == 0
+        table = dict(line.split("\t") for line in out.splitlines())
+        assert table == {
+            "ctc": str(m.counts.ctc),
+            "mattr": f"{m.mattr:.6f}",
+            "mtl": f"{m.mtl:.6f}",
+            "renyi_efficiency": f"{m.renyi:.6f}",
+        }

@@ -5,7 +5,6 @@ import pytest
 
 from morphlens.corpus import Corpus
 from morphlens.tokenizer import (
-    Token,
     Vocabulary,
     VocabularyError,
     load_vocab,
@@ -217,23 +216,32 @@ def test_round_trip_random_strings():
 
 def test_tokenize_one_token_per_word():
     vocab = Vocabulary(pieces={"▁a": -1.0, "▁b": -1.0}, boundary_marker="▁")
-    stream = list(tokenize_corpus(Corpus.from_lines(["a b"]), vocab))
-    assert stream == [Token("▁a", True, True), Token("▁b", True, True)]
+    lines = list(tokenize_corpus(Corpus.from_lines(["a b"]), vocab))
+    assert lines == [("a b", [("a", ["▁a"]), ("b", ["▁b"])])]
 
 
 def test_tokenize_empty_corpus():
     vocab = vocab_of(a=-1.0)
-    assert list(tokenize_corpus(Corpus.from_lines([]), vocab)) == []
+    for pretokenized in (True, False):
+        corpus = Corpus.from_lines([])
+        assert list(tokenize_corpus(corpus, vocab, pretokenized=pretokenized)) == []
 
 
 def test_tokenize_non_pretokenized_single_span():
     vocab = vocab_of(**{"a": -1.0, "b": -1.0, " ": -1.0})
-    stream = list(
-        tokenize_corpus(Corpus.from_lines(["a b"]), vocab, pretokenized=False)
+    lines = list(
+        tokenize_corpus(Corpus.from_lines(["a b", ""]), vocab, pretokenized=False)
     )
-    assert stream[0].word_initial and stream[-1].word_final
-    assert sum(1 for t in stream if t.word_initial) == 1
-    assert sum(1 for t in stream if t.word_final) == 1
+    assert lines == [("a b", [("a b", ["a", " ", "b"])]), ("", [])]
+
+
+def test_tokenize_non_pretokenized_marks_only_spaces():
+    vocab = Vocabulary(pieces={"▁": -1.0, "a": -1.0, "\t": -1.0}, boundary_marker="▁")
+    lines = list(
+        tokenize_corpus(Corpus.from_lines(["a a\ta"]), vocab, pretokenized=False)
+    )
+    # segmentation itself prepends the marker, as for any span
+    assert lines == [("a a\ta", [("a▁a\ta", ["▁", "a", "▁", "a", "\t", "a"])])]
 
 
 def test_strip_marker():

@@ -33,6 +33,6 @@ from .tokenizer import (
     segment_viterbi,
     tokenize_corpus,
 )
-from .unigram import FrequencyTable, mattr, mtl, renyi_efficiency, ttr, word_metrics
+from .unigram import FrequencyTable, UnigramStats, mattr, mtl, renyi_efficiency, ttr
 
 __version__ = "0.1.0"

@@ -1,16 +1,20 @@
 """`morphlens` command line interface.
 
 Subcommands: counts, byte-premium, tokenize, bigram, unigram, align,
-stats (welch|gap|holm|dup|ols), run. Exit codes for `run`: 0 success,
-1 partial failure, 2 config error. Input errors (missing files, invalid
-UTF-8, bad vocabularies, no lexical types) exit 1 with a one-line message.
+stats (welch|gap|holm|dup|ols), run. Exit codes: 0 success; 1 an input
+error (missing file, invalid UTF-8, bad vocabulary or number, no tokens or
+lexical types, a failed statistic) with a one-line message, or for `run` a
+failed language row; 2 a usage error (option out of range, wrong number of
+`stats` inputs) or for `run` a config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 from . import bigram as bigram_mod
@@ -30,11 +34,21 @@ from .tokenizer import (
 from .unigram import (
     DEFAULT_MATTR_WINDOW,
     DEFAULT_RENYI_ALPHA,
-    FrequencyTable,
-    mattr,
-    mtl,
+    UnigramStats,
     renyi_efficiency,
 )
+
+
+def _error(message: str, code: int = 1) -> int:
+    print(f"morphlens: error: {message}", file=sys.stderr)
+    return code
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of counts that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -70,8 +84,8 @@ def cmd_tokenize(args) -> int:
     return 0
 
 
-def _fmt(v: float, percent: bool, scale: bool) -> str:
-    return f"{v * 100:.4f}" if percent and scale else f"{v:.4f}"
+def _fmt(v: float, percent: bool) -> str:
+    return f"{v * 100:.4f}" if percent else f"{v:.4f}"
 
 
 def cmd_bigram(args) -> int:
@@ -92,31 +106,18 @@ def cmd_bigram(args) -> int:
         "type\tf\tav_L\tav_R\tav_mean\tav_min\tau_mean\teta_mean\tbr_L\tbr_R\tretained"
     ]
     for t in report.types:
-        lines.append(
-            "\t".join(
-                [
-                    t.type,
-                    str(t.f),
-                    f"{t.av_l:.4f}",
-                    f"{t.av_r:.4f}",
-                    f"{t.av_mean:.4f}",
-                    f"{t.av_min:.4f}",
-                    _fmt(t.au_mean, pct, True),
-                    _fmt(t.eta_mean, pct, True),
-                    _fmt(t.br_l, pct, True),
-                    _fmt(t.br_r, pct, True),
-                    "1" if t.retained else "0",
-                ]
-            )
-        )
+        cells = [t.type, str(t.f)]
+        cells += [f"{v:.4f}" for v in (t.av_l, t.av_r, t.av_mean, t.av_min)]
+        cells += [_fmt(v, pct) for v in (t.au_mean, t.eta_mean, t.br_l, t.br_r)]
+        lines.append("\t".join(cells + ["1" if t.retained else "0"]))
     if report.degenerate:
         lines.append("# degenerate: every lexical type was filtered")
     else:
         lines.append(f"# macro_av\t{report.macro_av:.4f}")
         lines.append(f"# macro_av_min\t{report.macro_av_min:.4f}")
-        lines.append(f"# macro_au\t{_fmt(report.macro_au, pct, True)}")
-        lines.append(f"# macro_eta\t{_fmt(report.macro_eta, pct, True)}")
-    lines.append(f"# lr\t{_fmt(report.lr, pct, True)}")
+        lines.append(f"# macro_au\t{_fmt(report.macro_au, pct)}")
+        lines.append(f"# macro_eta\t{_fmt(report.macro_eta, pct)}")
+    lines.append(f"# lr\t{_fmt(report.lr, pct)}")
     lines.append(f"# retained\t{report.retained_count}")
     lines.append(f"# filtered\t{report.filtered_count}")
     _write(args.out, "\n".join(lines) + "\n")
@@ -125,18 +126,18 @@ def cmd_bigram(args) -> int:
 
 def cmd_unigram(args) -> int:
     vocab = load_vocab(args.vocab)
+    unigrams = UnigramStats(args.mattr_window)
     # always pretokenized: the command has no --no-pretokenize
-    lines = tokenize_corpus(read_lines(args.corpus), vocab, greedy=args.greedy)
-    tokens = [p for _, spans in lines for _, pieces in spans for p in pieces]
-    if not tokens:
-        print("error: corpus produced no tokens", file=sys.stderr)
-        return 1
-    freq = FrequencyTable.from_tokens(tokens)
+    for _, spans in tokenize_corpus(read_lines(args.corpus), vocab, greedy=args.greedy):
+        for _, pieces in spans:
+            unigrams.add(pieces)
+    if not unigrams.tokens:
+        return _error("corpus produced no tokens")
     lines = [
-        f"ctc\t{len(tokens)}",
-        f"mattr\t{mattr(tokens, args.mattr_window):.6f}",
-        f"mtl\t{mtl(tokens):.6f}",
-        f"renyi_efficiency\t{renyi_efficiency(freq, args.alpha):.6f}",
+        f"ctc\t{unigrams.tokens}",
+        f"mattr\t{unigrams.mattr():.6f}",
+        f"mtl\t{unigrams.mtl():.6f}",
+        f"renyi_efficiency\t{renyi_efficiency(unigrams.frequency(), args.alpha):.6f}",
     ]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -158,8 +159,7 @@ def cmd_align(args) -> int:
             subsets = morph_eval.derive_subsets(refs)
             refs = subsets.stem_suffix if mode == "stem-suffix" else subsets.suffix_suffix
         if not refs:
-            print("error: no usable references for mode " + mode, file=sys.stderr)
-            return 1
+            return _error("no usable references for mode " + mode)
         result = morph_eval.eval_full(segmenter, refs)
         lines += [
             f"precision\t{result.precision:.6f}",
@@ -180,8 +180,7 @@ def cmd_align(args) -> int:
             r for r in loaded.refs if len(r.boundaries()) == 1
         ]
         if not refs:
-            print("error: no single-boundary references available", file=sys.stderr)
-            return 1
+            return _error("no single-boundary references available")
         result = morph_eval.morphscore(segmenter, refs, vocab, ms_mode)
         lines += [
             f"recall\t{result.recall:.6f}",
@@ -195,97 +194,61 @@ def cmd_align(args) -> int:
 
 
 def _read_column(path: str) -> stats.Sample:
+    """The first comma-separated cell of every nonempty line, as finite
+    numbers; only the first line may be a non-numeric header."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise stats.StatsError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
     values = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            cell = line.strip().split(",")[0]
-            if not cell:
-                continue
-            try:
-                values.append(float(cell))
-            except ValueError:
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        cell = line.strip().split(",")[0]
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            if lineno == 1:
                 continue  # header row
+            raise stats.StatsError(f"{path}:{lineno}: expected a number, got {cell!r}") from None
+        if not math.isfinite(value):
+            raise stats.StatsError(f"{path}:{lineno}: non-finite value {cell!r}")
+        values.append(value)
+    if not values:
+        raise stats.StatsError(f"{path}: no values")
     return stats.Sample.of(values)
 
 
+_STATS_ARITY = {
+    "welch": (2, "welch needs exactly 2 input files"),
+    "gap": (4, "gap needs 4 input files: g1_before g2_before g1_after g2_after"),
+    "holm": (1, "holm needs 1 input file of p-values"),
+    "dup": (2, "dup needs exactly 2 input files"),
+    "ols": (2, "ols needs exactly 2 input files: x y"),
+}
+
+
 def cmd_stats(args) -> int:
+    n_files, message = _STATS_ARITY[args.test]
+    if len(args.inputs) != n_files:
+        return _error(message, 2)
     samples = [_read_column(p) for p in args.inputs]
     alpha = args.alpha
-    alternative = args.alternative
     if args.test == "welch":
-        if len(samples) != 2:
-            raise SystemExit("welch needs exactly 2 input files")
-        r = stats.welch_t_test(samples[0], samples[1], alternative, alpha)
-        payload = {
-            "statistic": r.statistic,
-            "df": r.df,
-            "p_value": r.p_value,
-            "alternative": r.alternative,
-            "alpha": r.alpha,
-            "reject": r.reject,
-        }
+        payload = asdict(stats.welch_t_test(*samples, args.alternative, alpha))
     elif args.test == "gap":
-        if len(samples) != 4:
-            raise SystemExit(
-                "gap needs 4 input files: g1_before g2_before g1_after g2_after"
-            )
-        r = stats.gap_reduction_test(stats.GapTestInput(*samples), alpha)
-        payload = {
-            "statistic": r.test.statistic,
-            "df": r.test.df,
-            "p_value": r.test.p_value,
-            "alpha": alpha,
-            "reject": r.test.reject,
-            "delta_before": r.delta_before,
-            "delta_after": r.delta_after,
-            "s_y": r.s_y,
-            "delta_alpha": r.delta_alpha,
-        }
+        payload = asdict(stats.gap_reduction_test(stats.GapTestInput(*samples), alpha))
+        test = payload.pop("test")
+        del test["alternative"]  # always "greater"
+        payload = {**test, **payload}
     elif args.test == "holm":
-        if len(samples) != 1:
-            raise SystemExit("holm needs 1 input file of p-values")
         decisions = stats.holm_bonferroni(samples[0].values, alpha)
-        payload = {
-            "alpha": alpha,
-            "decisions": [
-                {
-                    "p_value": d.p_value,
-                    "holm_reject": d.holm_reject,
-                    "bonferroni_reject": d.bonferroni_reject,
-                }
-                for d in decisions
-            ],
-        }
+        payload = {"alpha": alpha, "decisions": [asdict(d) for d in decisions]}
     elif args.test == "dup":
-        if len(samples) != 2:
-            raise SystemExit("dup needs exactly 2 input files")
-        r = stats.duplication_effect(samples[0], samples[1], args.k, alternative)
-        payload = {
-            "t": r.t,
-            "t_dup": r.t_dup,
-            "nu": r.nu,
-            "nu_dup": r.nu_dup,
-            "p": r.p,
-            "p_dup": r.p_dup,
-            "t_ratio_theory": r.t_ratio_theory,
-            "nu_ratio_theory": r.nu_ratio_theory,
-        }
-    elif args.test == "ols":
-        if len(samples) != 2:
-            raise SystemExit("ols needs exactly 2 input files: x y")
-        r = stats.ols_simple(samples[0], samples[1])
-        payload = {
-            "beta0": r.beta0,
-            "beta1": r.beta1,
-            "se1": r.se1,
-            "t1": r.t1,
-            "p1": r.p1,
-            "r2": r.r2,
-            "adj_r2": r.adj_r2,
-            "n": r.n,
-        }
+        payload = asdict(stats.duplication_effect(*samples, args.k, args.alternative))
     else:
-        raise SystemExit(f"unknown stats test {args.test!r}")
+        payload = asdict(stats.ols_simple(*samples))
     _write(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -338,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bigram", help="accessor-variety metrics report")
     p.add_argument("corpus")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--window", type=int, default=bigram_mod.DEFAULT_WINDOW)
-    p.add_argument("--stride", type=int, default=1)
+    p.add_argument("--window", type=_positive_int, default=bigram_mod.DEFAULT_WINDOW)
+    p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--no-pretokenize", action="store_true")
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--percent", action="store_true")
@@ -359,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unigram", help="token-unigram metrics report")
     p.add_argument("corpus")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--mattr-window", type=int, default=DEFAULT_MATTR_WINDOW)
+    p.add_argument("--mattr-window", type=_positive_int, default=DEFAULT_MATTR_WINDOW)
     p.add_argument("--alpha", type=float, default=DEFAULT_RENYI_ALPHA)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--out", default="-")
@@ -392,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[stats.TWO_SIDED, stats.LESS, stats.GREATER],
         default=stats.TWO_SIDED,
     )
-    p.add_argument("--k", type=int, default=3, help="duplication factor for dup")
+    p.add_argument("--k", type=_positive_int, default=3, help="duplication factor for dup")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_stats)
 
@@ -410,9 +373,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:  # an OSError, so it goes first
         return 0
-    except (CorpusError, VocabularyError, MetricsError, OSError) as e:
-        print(f"morphlens: error: {e}", file=sys.stderr)
-        return 1
+    except (CorpusError, VocabularyError, MetricsError, stats.StatsError, OSError) as e:
+        return _error(str(e))
 
 
 if __name__ == "__main__":

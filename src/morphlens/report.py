@@ -38,9 +38,7 @@ from .tokenizer import Vocabulary, load_vocab, tokenize_corpus
 from .unigram import (
     DEFAULT_MATTR_WINDOW,
     DEFAULT_RENYI_ALPHA,
-    FrequencyTable,
-    mattr,
-    mtl,
+    UnigramStats,
     renyi_efficiency,
 )
 
@@ -71,12 +69,9 @@ class RunConfig:
     sort_by: str = "eta"
 
     def validate(self) -> None:
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
-        if self.mattr_window < 1:
-            raise ConfigError("mattr_window must be >= 1")
+        for key in ("window", "stride", "mattr_window"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if not self.alpha >= 0:  # also rejects nan
             raise ConfigError("alpha must be >= 0")
         if self.sort_by not in _NUMERIC_COLUMNS:
@@ -123,29 +118,30 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
             )
         )
 
-    def _bool(key: str, default: bool) -> bool:
-        raw = run.get(key)
-        if raw is None:
-            return default
+    settings = {
+        f.name: _parse_run_value(f.name, run[f.name], type(f.default))
+        for f in fields(RunConfig)
+        if f.name in run
+    }
+    config = RunConfig(languages=languages, **settings)
+    config.validate()
+    return config
+
+
+def _parse_run_value(key: str, raw: str, kind: type):
+    """Parse one `[run]` value as the type of its `RunConfig` default."""
+    if kind is bool:
         words = configparser.ConfigParser.BOOLEAN_STATES
         if raw.strip().lower() not in words:
             raise ConfigError(f"[run] {key}: expected one of {', '.join(words)}, got {raw!r}")
         return words[raw.strip().lower()]
-
-    config = RunConfig(
-        languages=languages,
-        window=int(run.get("window", DEFAULT_WINDOW)),
-        stride=int(run.get("stride", 1)),
-        mattr_window=int(run.get("mattr_window", DEFAULT_MATTR_WINDOW)),
-        alpha=float(run.get("alpha", DEFAULT_RENYI_ALPHA)),
-        pretokenized=_bool("pretokenized", True),
-        greedy=_bool("greedy", False),
-        percent=_bool("percent", False),
-        format=run.get("format", "tsv"),
-        sort_by=run.get("sort_by", "eta"),
-    )
-    config.validate()
-    return config
+    if kind is str:
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[run] {key}: expected {noun}, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -176,34 +172,27 @@ def analyze_language(
     """One streaming pass computing corpus counts, bigram tables, and the
     unigram/word metric battery."""
     tables = BigramTables(window=window, stride=stride)
-    tokens: List[str] = []
+    unigrams = UnigramStats(mattr_window)
     counts = CorpusCounts()
-    mwl_sum = 0.0
-    s_sum = 0.0
     for line, spans in tokenize_corpus(corpus, vocab, pretokenized, greedy):
         counts.add(line)
-        if pretokenized:
-            counts.cwc += len(spans)
         for text, pieces in spans:
             tables.observe_span(pieces)
-            tokens.extend(pieces)
-            if pretokenized:
-                mwl_sum += len(text)
-                s_sum += len(pieces) / len(text)
+            unigrams.add(pieces, text if pretokenized else None)
 
-    counts.ctc = len(tokens)
-    if not tokens:
+    counts.cwc = unigrams.words
+    counts.ctc = unigrams.tokens
+    if not counts.ctc:
         raise ConfigError("corpus produced no tokens")
-    freq = FrequencyTable.from_tokens(tokens)
     marker = vocab.boundary_marker or DEFAULT_MARKER
     return LanguageMetrics(
         counts=counts,
         bigram=tables.finalize(marker=marker),
-        mattr=mattr(tokens, mattr_window),
-        mtl=mtl(tokens, marker),
-        renyi=renyi_efficiency(freq, alpha),
-        s=(s_sum / counts.cwc) if counts.cwc else 0.0,
-        mwl=(mwl_sum / counts.cwc) if counts.cwc else 0.0,
+        mattr=unigrams.mattr(),
+        mtl=unigrams.mtl(marker),
+        renyi=renyi_efficiency(unigrams.frequency(), alpha),
+        s=unigrams.s(),
+        mwl=unigrams.mwl(),
     )
 
 
@@ -214,22 +203,10 @@ def analyze_language(
 # ratio-valued columns scaled by 100 in percent mode; AV, MTL, and MWL stay
 _PERCENT_COLUMNS = ("eta", "au", "lr", "mattr", "re", "s")
 
-_NUMERIC_COLUMNS = (
-    "av",
-    "eta",
-    "au",
-    "lr",
-    "mattr",
-    "mtl",
-    "re",
-    "s",
-    "mwl",
-    "ccc",
-    "cbc",
-    "cwc",
-    "csc",
-    "ctc",
-)
+# `CorpusCounts` fields, printed as integers
+_COUNT_COLUMNS = ("ccc", "cbc", "cwc", "csc", "ctc")
+
+_NUMERIC_COLUMNS = ("av", "eta", "au", "lr", "mattr", "mtl", "re", "s", "mwl") + _COUNT_COLUMNS
 
 
 @dataclass
@@ -260,26 +237,19 @@ class ComparisonReport:
 
 def _row_from_metrics(spec: LanguageSpec, m: LanguageMetrics) -> ReportRow:
     b = m.bigram
-    return ReportRow(
-        language=spec.name,
-        grouping=spec.grouping,
-        values={
-            "av": b.macro_av,
-            "eta": b.macro_eta,
-            "au": b.macro_au,
-            "lr": b.lr,
-            "mattr": m.mattr,
-            "mtl": m.mtl,
-            "re": m.renyi,
-            "s": m.s,
-            "mwl": m.mwl,
-            "ccc": float(m.counts.ccc),
-            "cbc": float(m.counts.cbc),
-            "cwc": float(m.counts.cwc),
-            "csc": float(m.counts.csc),
-            "ctc": float(m.counts.ctc or 0),
-        },
-    )
+    values = {
+        "av": b.macro_av,
+        "eta": b.macro_eta,
+        "au": b.macro_au,
+        "lr": b.lr,
+        "mattr": m.mattr,
+        "mtl": m.mtl,
+        "re": m.renyi,
+        "s": m.s,
+        "mwl": m.mwl,
+    }
+    values.update((col, float(getattr(m.counts, col) or 0)) for col in _COUNT_COLUMNS)
+    return ReportRow(language=spec.name, grouping=spec.grouping, values=values)
 
 
 def run(config: RunConfig) -> ComparisonReport:
@@ -354,7 +324,7 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
             v = values[col]
             if v is None:
                 cells.append("")
-            elif col in ("ccc", "cbc", "cwc", "csc", "ctc"):
+            elif col in _COUNT_COLUMNS:
                 cells.append(str(int(v)))
             else:
                 cells.append(f"{v:.4f}")

@@ -270,6 +270,8 @@ def test_run_writes_output_file(capsys, tmp_path, lang):
         "greedy = 2",
         "percent = yes please",
         "windw = 5",
+        pytest.param("window = abc", id="window-not-integer"),
+        pytest.param("alpha = x", id="alpha-not-number"),
     ],
     ids=lambda setting: setting.split(" = ")[0],
 )
@@ -284,7 +286,21 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("config error:")
+    assert setting.split(" = ")[0] in captured.err  # names the key
     assert captured.out == ""
+
+
+def test_run_value_error_names_key_and_type(capsys, tmp_path, lang):
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[run]\nwindow = abc\n[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [run] window: expected an integer, got 'abc'\n"
+    )
 
 
 def test_run_accepts_boolean_words(capsys, tmp_path, lang):
@@ -310,6 +326,8 @@ def test_run_accepts_boolean_words(capsys, tmp_path, lang):
         "nan-vocab",
         "undecodable-corpus",
         "counts-missing",
+        "unigram-no-tokens",
+        "align-no-refs",
     ],
 )
 def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
@@ -318,6 +336,10 @@ def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
     nan_vocab.write_text("a\tnan\n", encoding="utf-8")
     undecodable = tmp_path / "ff.txt"
     undecodable.write_bytes(b"ab\xff\n")
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n\n", encoding="utf-8")
+    refs = tmp_path / "refs.tsv"
+    refs.write_text("gathered\tgather|ed\n", encoding="utf-8")
     missing = str(tmp_path / "missing")
     argv = {
         "missing-corpus": ["tokenize", missing, "--vocab", str(vocab)],
@@ -325,6 +347,8 @@ def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
         "nan-vocab": ["bigram", str(corpus), "--vocab", str(nan_vocab)],
         "undecodable-corpus": ["tokenize", str(undecodable), "--vocab", str(vocab)],
         "counts-missing": ["counts", missing],
+        "unigram-no-tokens": ["unigram", str(blank), "--vocab", str(vocab)],
+        "align-no-refs": ["align", str(refs), "--vocab", str(vocab), "--mode", "suffix-suffix"],
     }[case]
     code = main(argv)
     err = capsys.readouterr().err
@@ -366,3 +390,65 @@ def test_commands_agree_with_analyze_language(capsys, lang, pretokenized):
             "mtl": f"{m.mtl:.6f}",
             "renyi_efficiency": f"{m.renyi:.6f}",
         }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bigram", "c.txt", "--vocab", "v.tsv", "--window", "0"],
+        ["bigram", "c.txt", "--vocab", "v.tsv", "--stride", "0"],
+        ["unigram", "c.txt", "--vocab", "v.tsv", "--mattr-window", "0"],
+        ["stats", "dup", "--in", "a.csv", "b.csv", "--k", "-1"],
+    ],
+    ids=["window", "stride", "mattr-window", "k"],
+)
+def test_out_of_range_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: morphlens ")
+    assert "expected a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "test, n_files",
+    [("welch", 1), ("gap", 2), ("holm", 2), ("dup", 3), ("ols", 1)],
+)
+def test_stats_arity_is_usage_error(capsys, tmp_path, test, n_files):
+    # checked before any file is read: these paths do not exist
+    paths = [str(tmp_path / f"missing{i}.csv") for i in range(n_files)]
+    code = main(["stats", test, "--in", *paths])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"morphlens: error: {test} needs ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("1\n", "welch test needs at least 2 observations"),
+        ("", "a.csv: no values"),
+        ("value\n", "a.csv: no values"),
+        ("foo\n1\n2\n1e\n3\n", "a.csv:4: expected a number, got '1e'"),
+        ("1\nfoo\n2\n", "a.csv:2: expected a number, got 'foo'"),
+        ("x\ny\n1\n2\n", "a.csv:2: expected a number, got 'y'"),
+        ("1\n2\nnan\n", "a.csv:3: non-finite value 'nan'"),
+        ("1\n-inf\n", "a.csv:2: non-finite value '-inf'"),
+        (b"1\n\xff\n", "a.csv: invalid UTF-8 at byte offset 2"),
+    ],
+    ids=["one-value", "empty", "header-only", "bad-cell", "bad-cell-after-value",
+         "second-header", "nan", "inf", "undecodable"],
+)
+def test_stats_bad_input_is_one_line_error(capsys, tmp_path, content, message):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    b.write_text("1\n2\n4\n", encoding="utf-8")
+    code = main(["stats", "welch", "--in", str(a), str(b)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("morphlens: error: ")
+    assert message in err
+    assert err.count("\n") == 1

@@ -1,0 +1,84 @@
+"""Byte-exact golden outputs of the CLI on small seeded inputs.
+
+The inputs in `tests/golden/` are an ASCII pretokenized corpus per language
+with a marker vocabulary that has an `<unk>` piece, numeric columns for
+`stats`, and one `run` config per output format. Paths in the configs are
+relative to `tests/golden/`.
+
+A change that alters a number must say so and regenerate the expected files:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from morphlens.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+EXPECTED = GOLDEN / "expected"
+
+CASES = {
+    "bigram_default": ["bigram", "alpha.txt", "--vocab", "alpha.tsv"],
+    "bigram_w50_stride3_percent": [
+        "bigram",
+        "beta.txt",
+        "--vocab",
+        "beta.tsv",
+        "--window",
+        "50",
+        "--stride",
+        "3",
+        "--percent",
+    ],
+    "unigram_default": ["unigram", "alpha.txt", "--vocab", "alpha.tsv"],
+    "unigram_w7": ["unigram", "alpha.txt", "--vocab", "alpha.tsv", "--mattr-window", "7"],
+    "run_tsv": ["run", "--config", "run_tsv.ini"],
+    "run_csv": ["run", "--config", "run_csv.ini"],
+    "run_json": ["run", "--config", "run_json.ini"],
+    "stats_welch": ["stats", "welch", "--in", "g1_before.csv", "g2_before.csv"],
+    "stats_gap": [
+        "stats",
+        "gap",
+        "--in",
+        "g1_before.csv",
+        "g2_before.csv",
+        "g1_after.csv",
+        "g2_after.csv",
+    ],
+    "stats_holm": ["stats", "holm", "--in", "p_values.csv"],
+    "stats_dup": ["stats", "dup", "--in", "g1_before.csv", "g2_before.csv", "--k", "3"],
+    "stats_ols": ["stats", "ols", "--in", "g1_before.csv", "g1_after.csv"],
+}
+
+
+def render(name: str, out: Path) -> bytes:
+    """Run one case from `tests/golden/` and return the bytes it wrote."""
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        code = main(CASES[name] + ["--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    assert code == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_bytes(name, tmp_path):
+    expected = (EXPECTED / f"{name}.out").read_bytes()
+    assert render(name, tmp_path / "out") == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    EXPECTED.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES):
+            data = render(name, Path(tmp) / name)
+            (EXPECTED / f"{name}.out").write_bytes(data)
+            print(f"{name}: {len(data)} bytes", file=sys.stderr)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -154,6 +155,50 @@ def test_analyze_language_does_not_import_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# VmHWM is the peak RSS of this process image only; ru_maxrss would also
+# count the RSS of the test process the child was forked from
+PEAK_RSS = """
+import sys
+from morphlens import analyze_language, load_vocab, read_lines
+analyze_language(read_lines(sys.argv[1]), load_vocab(sys.argv[2]))
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_analyze_language_memory_grows_with_types_not_tokens(tmp_path):
+    # 12,000 test_10-style lines (about 200k tokens), then the same lines 8x:
+    # no new types, so peak RSS must stay flat; a per-token list adds ~11 MB
+    rng = random.Random(10)
+    syllables = [c + v for c in "bcdfghjklmnprst" for v in "aeiou"]
+    words = ["".join(rng.choice(syllables) for _ in range(rng.randint(1, 4))) for _ in range(5000)]
+    lines = "".join(" ".join(rng.choice(words) for _ in range(8)) + "\n" for _ in range(12000))
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text(
+        "".join(f"{s}\t-6.0\n" for s in syllables)
+        + "".join(f"{w}\t-9.0\n" for w in dict.fromkeys(words[:1000]) if w not in syllables),
+        encoding="utf-8",
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    peaks = []
+    for copies in (1, 8):
+        corpus = tmp_path / f"corpus{copies}.txt"
+        corpus.write_text(lines * copies, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, str(corpus), str(vocab)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout) / 1024)  # kB to MB
+    assert peaks[1] - peaks[0] < 3.0, peaks
 
 
 def test_analyze_language_empty_corpus_errors():

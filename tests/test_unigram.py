@@ -1,18 +1,21 @@
 import math
 import random
 import string
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphlens import unigram
 from morphlens.unigram import (
     FrequencyTable,
+    UnigramStats,
     mattr,
     mtl,
     renyi_efficiency,
     ttr,
-    word_metrics,
 )
 
 
@@ -187,23 +190,127 @@ def test_renyi_entropy_decreasing_in_alpha():
 # --- word metrics ----------------------------------------------------------
 
 
+def word_stats(words):
+    stats = UnigramStats()
+    for word, token_count in words:
+        stats.add(["t"] * token_count, word)
+    return stats
+
+
 def test_word_metrics_hand():
-    wm = word_metrics([("abcd", 2), ("ab", 1)])
-    assert wm.mwl == 3.0
-    assert wm.s == pytest.approx(0.5)
+    stats = word_stats([("abcd", 2), ("ab", 1)])
+    assert stats.mwl() == 3.0
+    assert stats.s() == pytest.approx(0.5)
 
 
 def test_word_metrics_single_chars():
-    wm = word_metrics([("a", 1), ("b", 1), ("c", 1)])
-    assert wm.mwl == 1.0
-    assert wm.s == 1.0
+    stats = word_stats([("a", 1), ("b", 1), ("c", 1)])
+    assert stats.mwl() == 1.0
+    assert stats.s() == 1.0
 
 
 def test_word_metrics_empty_errors():
+    # no word spans give 0.0, as `analyze_language` reports in whole-line mode
+    assert word_stats([]).mwl() == 0.0
+    assert word_stats([]).s() == 0.0
     with pytest.raises(ValueError):
-        word_metrics([])
+        word_stats([("", 1)])
     with pytest.raises(ValueError):
-        word_metrics([("", 1)])
+        UnigramStats().mattr()
+
+
+# --- streaming accumulator ---------------------------------------------------
+
+
+def reference_metrics(spans, window, marker):
+    """Brute force over the whole token list: every window's distinct types
+    counted from scratch."""
+    tokens = [t for pieces, _ in spans for t in pieces]
+    words = [(pieces, word) for pieces, word in spans if word is not None]
+    n = len(tokens)
+    if n < window:
+        mattr_value = len(set(tokens)) / n
+    else:
+        distinct = sum(len(set(tokens[i : i + window])) for i in range(n - window + 1))
+        mattr_value = distinct / (n - window + 1) / window
+    chars = sum(len(t) - (len(marker) if t.startswith(marker) else 0) for t in tokens)
+    mwl_value = s_value = 0.0
+    if words:
+        mwl_value = sum(len(word) for _, word in words) / len(words)
+        s_sum = 0.0
+        for pieces, word in words:
+            s_sum += len(pieces) / len(word)
+        s_value = s_sum / len(words)
+    return {
+        "tokens": n,
+        "mattr": mattr_value,
+        "mtl": chars / n,
+        "counts": list(Counter(tokens).items()),
+        "mwl": mwl_value,
+        "s": s_value,
+    }
+
+
+PIECES = st.sampled_from(["a", "b", "ab", "▁a", "▁b", "▁abc", "<unk>", "▁"])
+SPANS = st.lists(
+    st.tuples(
+        st.lists(PIECES, max_size=6),
+        st.one_of(st.none(), st.text(alphabet="xyz", min_size=1, max_size=5)),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(SPANS, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_stats_stream_equals_brute_force(spans, window, flush):
+    spans = [(pieces, word) for pieces, word, _ in spans]
+    tokens = [t for pieces, _ in spans for t in pieces]
+    if not tokens:
+        return
+    stats = UnigramStats(window)
+    with mock.patch.object(unigram, "_FLUSH_TOKENS", flush):
+        for pieces, word in spans:
+            stats.add(pieces, word)
+    got = {
+        "tokens": stats.tokens,
+        "mattr": stats.mattr(),
+        "mtl": stats.mtl("▁"),
+        "counts": list(stats.frequency().counts.items()),
+        "mwl": stats.mwl(),
+        "s": stats.s(),
+    }
+    assert got == reference_metrics(spans, window, "▁")
+    assert stats.frequency().total == len(tokens)
+
+
+@given(SPANS, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8))
+@settings(max_examples=200, deadline=None)
+def test_stats_read_mid_stream(spans, window, flush):
+    # reading a metric folds the pending tokens; later adds continue from there
+    stats = UnigramStats(window)
+    seen = []
+    with mock.patch.object(unigram, "_FLUSH_TOKENS", flush):
+        for pieces, word, read in spans:
+            stats.add(pieces, word)
+            seen.append((pieces, word))
+            if read and stats.tokens:
+                expected = reference_metrics(seen, window, "▁")
+                assert stats.mattr() == expected["mattr"]
+                assert stats.mtl("▁") == expected["mtl"]
+
+
+def test_stats_match_public_wrappers():
+    rng = random.Random(4)
+    toks = [rng.choice([f"w{i}" for i in range(50)]) for _ in range(3000)]
+    stats = UnigramStats(17)
+    for i in range(0, len(toks), 7):
+        stats.add(toks[i : i + 7])
+    assert stats.mattr() == mattr(toks, 17)
+    assert stats.mtl() == mtl(toks)
+    assert stats.frequency() == FrequencyTable.from_tokens(toks)
 
 
 def test_frequency_table_from_tokens():

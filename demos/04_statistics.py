@@ -44,9 +44,12 @@ for k in (5, 10, 100, 1490):
 # 2. measurement duplication -------------------------------------------------
 s1, s2 = near_significant_pair(seed=1)
 eff = duplication_effect(s1, s2, k=3, alternative=LESS)
-print("\nplain:      t=%.3f p=%.4f" % (eff.t, eff.p))
-print("triplicated: t=%.3f p=%.4f  (t ratio ~ sqrt(3)=%.3f)"
-      % (eff.t_dup, eff.p_dup, eff.t_ratio_theory))
+alpha = 0.025  # one-sided
+print("\nplain:       t=%.3f p=%.4f  significant at one-sided alpha=%g: %s"
+      % (eff.t, eff.p, alpha, eff.p <= alpha))
+print("triplicated: t=%.3f p=%.4f  significant at one-sided alpha=%g: %s"
+      % (eff.t_dup, eff.p_dup, alpha, eff.p_dup <= alpha))
+print("t ratio %.3f ~ sqrt(3)=%.3f" % (eff.t_dup / eff.t, eff.t_ratio_theory))
 
 # correcting for many such tests
 decisions = holm_bonferroni([0.01, 0.04, 0.03], alpha=0.05)

@@ -484,28 +484,16 @@ class BigramTables:
             else:
                 filtered_count += 1
 
-        lr = filtered_count / len(lexical)
-        if retained:
-            n = len(retained)
-            return BigramReport(
-                types=types,
-                lr=lr,
-                retained_count=n,
-                filtered_count=filtered_count,
-                macro_av=sum(t.av_mean for t in retained) / n,
-                macro_av_min=sum(t.av_min for t in retained) / n,
-                macro_au=sum(t.au_mean for t in retained) / n,
-                macro_eta=sum(t.eta_mean for t in retained) / n,
-            )
+        n = len(retained)
         return BigramReport(
             types=types,
-            lr=lr,
-            retained_count=0,
+            lr=filtered_count / len(lexical),
+            retained_count=n,
             filtered_count=filtered_count,
-            macro_av=None,
-            macro_av_min=None,
-            macro_au=None,
-            macro_eta=None,
+            macro_av=sum(t.av_mean for t in retained) / n if n else None,
+            macro_av_min=sum(t.av_min for t in retained) / n if n else None,
+            macro_au=sum(t.au_mean for t in retained) / n if n else None,
+            macro_eta=sum(t.eta_mean for t in retained) / n if n else None,
             degenerate=filtered_count == len(lexical),
         )
 

@@ -20,7 +20,7 @@ from typing import List, Optional
 from . import bigram as bigram_mod
 from . import morph_eval, stats
 from .bigram import MetricsError
-from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
+from .corpus import CorpusError, byte_premium, corpus_counts, read_lines, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize
 from .report import ConfigError, emit, load_config
 from .report import run as run_pipeline
@@ -39,6 +39,11 @@ from .unigram import (
 )
 
 
+# input errors that end a command with a one-line message and exit 1
+_INPUT_ERRORS = (CorpusError, VocabularyError, MetricsError, stats.StatsError,
+                 morph_eval.MorphEvalError, OSError)
+
+
 def _error(message: str, code: int = 1) -> int:
     print(f"morphlens: error: {message}", file=sys.stderr)
     return code
@@ -49,6 +54,25 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
+
+
+def _float_type(accept, expected: str):
+    """argparse type of numbers for which `accept` holds (never for nan)."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonnegative_float = _float_type(lambda v: 0 <= v < math.inf, "a finite number >= 0")
+_probability = _float_type(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -112,6 +136,8 @@ def cmd_bigram(args) -> int:
         lines.append("\t".join(cells + ["1" if t.retained else "0"]))
     if report.degenerate:
         lines.append("# degenerate: every lexical type was filtered")
+    elif report.macro_av is None:
+        lines.append("# no retained type filled a window on both sides")
     else:
         lines.append(f"# macro_av\t{report.macro_av:.4f}")
         lines.append(f"# macro_av_min\t{report.macro_av_min:.4f}")
@@ -196,13 +222,8 @@ def cmd_align(args) -> int:
 def _read_column(path: str) -> stats.Sample:
     """The first comma-separated cell of every nonempty line, as finite
     numbers; only the first line may be a non-numeric header."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise stats.StatsError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
     values = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_text(path, stats.StatsError).split("\n"), start=1):
         cell = line.strip().split(",")[0]
         if not cell:
             continue
@@ -323,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--vocab", required=True)
     p.add_argument("--mattr-window", type=_positive_int, default=DEFAULT_MATTR_WINDOW)
-    p.add_argument("--alpha", type=float, default=DEFAULT_RENYI_ALPHA)
+    p.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_RENYI_ALPHA)
     p.add_argument("--greedy", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_unigram)
@@ -349,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="hypothesis tests and regression")
     p.add_argument("test", choices=["welch", "gap", "holm", "dup", "ols"])
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_probability, default=0.05)
     p.add_argument(
         "--alternative",
         choices=[stats.TWO_SIDED, stats.LESS, stats.GREATER],
@@ -373,7 +394,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except BrokenPipeError:  # an OSError, so it goes first
         return 0
-    except (CorpusError, VocabularyError, MetricsError, stats.StatsError, OSError) as e:
+    except _INPUT_ERRORS as e:
         return _error(str(e))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Type, Union
 
 
 class CorpusError(Exception):
@@ -112,6 +112,17 @@ class CorpusCounts:
         self.csc += 1
         self.ccc += len(line)
         self.cbc += len(line.encode("utf-8"))
+
+
+def read_text(path: Union[str, os.PathLike], error: Type[Exception]) -> str:
+    """The whole file in one UTF-8 decode, with universal newlines ("\r\n"
+    and "\r" read as "\n"). Invalid UTF-8 raises `error` with the absolute
+    byte offset of the first bad byte."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
 
 
 def read_lines(path: Union[str, os.PathLike]) -> Corpus:

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
+from .corpus import read_text
 from .pretokenize import DEFAULT_MARKER
 from .tokenizer import Vocabulary, strip_marker
 
@@ -69,24 +70,23 @@ class RefLoadResult:
 
 def load_refs(path: Union[str, os.PathLike]) -> RefLoadResult:
     """Parse a TSV of `word<TAB>morph1|morph2|...`. Entries whose morphs do
-    not concatenate to the word are skipped and tallied, not repaired."""
+    not concatenate to the word are skipped and tallied, not repaired;
+    invalid UTF-8 is an error reported with its byte offset."""
     refs: List[SegmentationRef] = []
     rejected = 0
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                rejected += 1
-                continue
-            word, morph_field = parts
-            morphs = tuple(m for m in morph_field.split("|") if m)
-            if not morphs or "".join(morphs) != word:
-                rejected += 1
-                continue
-            refs.append(SegmentationRef(word=word, morphs=morphs))
+    for line in read_text(path, MorphEvalError).split("\n"):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            rejected += 1
+            continue
+        word, morph_field = parts
+        morphs = tuple(m for m in morph_field.split("|") if m)
+        if not morphs or "".join(morphs) != word:
+            rejected += 1
+            continue
+        refs.append(SegmentationRef(word=word, morphs=morphs))
     return RefLoadResult(refs=refs, rejected=rejected)
 
 

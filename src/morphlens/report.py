@@ -72,8 +72,8 @@ class RunConfig:
         for key in ("window", "stride", "mattr_window"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
-        if not self.alpha >= 0:  # also rejects nan
-            raise ConfigError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:  # also rejects nan
+            raise ConfigError("alpha must be finite and >= 0")
         if self.sort_by not in _NUMERIC_COLUMNS:
             raise ConfigError(
                 f"unknown sort_by column {self.sort_by!r}; "

@@ -12,6 +12,7 @@ no silent one-sided/two-sided defaults.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -378,9 +379,9 @@ def duplication_effect(
 
 
 # ---------------------------------------------------------------------------
-# Seeded demo generators (numpy PCG64 via default_rng; the fixed algorithm
-# makes the stochastic examples reproducible, so tests can use tolerance
-# bands instead of exact values)
+# Seeded demo generators (stdlib `random.Random`, a Mersenne Twister seeded
+# explicitly; the fixed algorithm makes the stochastic examples reproducible,
+# so tests can use tolerance bands instead of exact values)
 
 
 def near_significant_pair(
@@ -394,11 +395,9 @@ def near_significant_pair(
     """Two normal samples whose Welch test hovers around significance; the
     scenario used to demonstrate how measurement duplication flips test
     decisions."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    s1 = Sample.of(rng.normal(mean1, sd1, n))
-    s2 = Sample.of(rng.normal(mean2, sd2, n))
+    rng = random.Random(seed)
+    s1 = Sample.of([rng.gauss(mean1, sd1) for _ in range(n)])
+    s2 = Sample.of([rng.gauss(mean2, sd2) for _ in range(n)])
     return s1, s2
 
 
@@ -407,11 +406,9 @@ def quadratic_regression_pair(
 ) -> Tuple[Sample, Sample]:
     """X uniform on (low, high), Y = X^2: a perfectly causal relation that a
     simple linear regression nevertheless barely explains."""
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(low, high, n)
-    return Sample.of(x), Sample.of(x * x)
+    rng = random.Random(seed)
+    x = [rng.uniform(low, high) for _ in range(n)]
+    return Sample.of(x), Sample.of([v * v for v in x])
 
 
 # ---------------------------------------------------------------------------

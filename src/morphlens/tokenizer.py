@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
-from .corpus import Corpus
+from .corpus import Corpus, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize
 
 # Each unknown character costs this much; any cover using fewer unknowns
@@ -64,12 +64,7 @@ def load_vocab(
     error reported with its byte offset."""
     pieces: Dict[str, float] = {}
     uses_marker = False
-    try:
-        with open(path, encoding="utf-8") as f:
-            # universal newlines: "\r\n" and "\r" already read as "\n"
-            text = f.read()
-    except UnicodeDecodeError as e:
-        raise VocabularyError(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+    text = read_text(path, VocabularyError)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
@@ -111,43 +106,26 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     if not pretoken:
         raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
-    n = len(text)
     pieces = vocab.pieces
     max_len = vocab._max_piece_len
-    # best[i] covers text[:i]; entries are (score, n_tokens, piece_tuple).
-    best: List[Optional[Tuple[float, int, Tuple[str, ...]]]] = [None] * (n + 1)
-    best[0] = (0.0, 0, ())
-    for i in range(1, n + 1):
-        candidate = None
+    unk = vocab.unk_piece
+    # best[i] covers text[:i] as (score, n_tokens, piece_tuple). Every prefix
+    # has a cover, at worst the one of text[:i-1] plus one unknown piece, and
+    # _better is a strict total order, so the visit order does not matter.
+    best: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, ())]
+    for i in range(1, len(text) + 1):
+        prev = best[i - 1]
+        candidate = (prev[0] + _UNK_SCORE, prev[1] + 1, prev[2] + (unk,))
         for j in range(max(0, i - max_len), i):
-            prev = best[j]
-            if prev is None:
-                continue
             piece = text[j:i]
             score = pieces.get(piece)
-            if score is None:
-                continue
-            cand = (prev[0] + score, prev[1] + 1, prev[2] + (piece,))
-            if candidate is None or _better(cand, candidate):
-                candidate = cand
-        if candidate is None:
-            # unknown fallback: one unk per uncovered character
-            prev = best[i - 1]
-            assert prev is not None
-            candidate = (prev[0] + _UNK_SCORE, prev[1] + 1, prev[2] + (vocab.unk_piece,))
-        else:
-            prev = best[i - 1]
-            if prev is not None:
-                unk_cand = (
-                    prev[0] + _UNK_SCORE,
-                    prev[1] + 1,
-                    prev[2] + (vocab.unk_piece,),
-                )
-                if _better(unk_cand, candidate):
-                    candidate = unk_cand
-        best[i] = candidate
-    assert best[n] is not None
-    return list(best[n][2])
+            if score is not None:
+                prev = best[j]
+                cand = (prev[0] + score, prev[1] + 1, prev[2] + (piece,))
+                if _better(cand, candidate):
+                    candidate = cand
+        best.append(candidate)
+    return list(best[-1][2])
 
 
 def _better(a: Tuple[float, int, Tuple[str, ...]], b: Tuple[float, int, Tuple[str, ...]]) -> bool:

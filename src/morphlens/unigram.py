@@ -54,8 +54,8 @@ def renyi_efficiency(freq: FrequencyTable, alpha: float = DEFAULT_RENYI_ALPHA) -
     """Rényi entropy H_alpha of the token distribution over its maximal
     entropy H_0 = log2(support size). alpha = 1 is the Shannon limit; a
     single-type support yields 0 by convention."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < math.inf:  # also rejects nan
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     if not freq.counts or freq.total <= 0:
         raise ValueError("frequency table must be nonempty")
     support = len(freq.counts)

@@ -272,6 +272,8 @@ def test_run_writes_output_file(capsys, tmp_path, lang):
         "windw = 5",
         pytest.param("window = abc", id="window-not-integer"),
         pytest.param("alpha = x", id="alpha-not-number"),
+        pytest.param("alpha = inf", id="alpha-inf"),
+        pytest.param("alpha = nan", id="alpha-nan"),
     ],
     ids=lambda setting: setting.split(" = ")[0],
 )
@@ -328,6 +330,7 @@ def test_run_accepts_boolean_words(capsys, tmp_path, lang):
         "counts-missing",
         "unigram-no-tokens",
         "align-no-refs",
+        "undecodable-refs",
     ],
 )
 def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
@@ -340,6 +343,8 @@ def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
     blank.write_text("\n\n", encoding="utf-8")
     refs = tmp_path / "refs.tsv"
     refs.write_text("gathered\tgather|ed\n", encoding="utf-8")
+    bom16_refs = tmp_path / "refs16.tsv"
+    bom16_refs.write_bytes(b"\xff\xfeg\x00a\x00")
     missing = str(tmp_path / "missing")
     argv = {
         "missing-corpus": ["tokenize", missing, "--vocab", str(vocab)],
@@ -349,6 +354,7 @@ def test_command_errors_are_one_line(capsys, tmp_path, lang, case):
         "counts-missing": ["counts", missing],
         "unigram-no-tokens": ["unigram", str(blank), "--vocab", str(vocab)],
         "align-no-refs": ["align", str(refs), "--vocab", str(vocab), "--mode", "suffix-suffix"],
+        "undecodable-refs": ["align", str(bom16_refs), "--vocab", str(vocab)],
     }[case]
     code = main(argv)
     err = capsys.readouterr().err
@@ -392,23 +398,49 @@ def test_commands_agree_with_analyze_language(capsys, lang, pretokenized):
         }
 
 
+POSITIVE = "expected a positive integer"
+NONNEGATIVE = "expected a finite number >= 0"
+PROBABILITY = "expected a number in (0, 1)"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, expected",
     [
-        ["bigram", "c.txt", "--vocab", "v.tsv", "--window", "0"],
-        ["bigram", "c.txt", "--vocab", "v.tsv", "--stride", "0"],
-        ["unigram", "c.txt", "--vocab", "v.tsv", "--mattr-window", "0"],
-        ["stats", "dup", "--in", "a.csv", "b.csv", "--k", "-1"],
+        (["bigram", "c.txt", "--vocab", "v.tsv", "--window", "0"], POSITIVE),
+        (["bigram", "c.txt", "--vocab", "v.tsv", "--stride", "0"], POSITIVE),
+        (["unigram", "c.txt", "--vocab", "v.tsv", "--mattr-window", "0"], POSITIVE),
+        (["stats", "dup", "--in", "a.csv", "b.csv", "--k", "-1"], POSITIVE),
+        (["unigram", "c.txt", "--vocab", "v.tsv", "--alpha", "-1"], NONNEGATIVE),
+        (["unigram", "c.txt", "--vocab", "v.tsv", "--alpha", "nan"], NONNEGATIVE),
+        (["unigram", "c.txt", "--vocab", "v.tsv", "--alpha", "inf"], NONNEGATIVE),
+        (["unigram", "c.txt", "--vocab", "v.tsv", "--alpha", "x"], NONNEGATIVE),
+        (["stats", "holm", "--in", "p.csv", "--alpha", "0"], PROBABILITY),
+        (["stats", "holm", "--in", "p.csv", "--alpha", "1"], PROBABILITY),
+        (["stats", "holm", "--in", "p.csv", "--alpha", "nan"], PROBABILITY),
+        (["stats", "gap", "--in", "a", "b", "c", "d", "--alpha", "-0.05"], PROBABILITY),
     ],
-    ids=["window", "stride", "mattr-window", "k"],
+    ids=[
+        "window",
+        "stride",
+        "mattr-window",
+        "k",
+        "unigram-alpha-negative",
+        "unigram-alpha-nan",
+        "unigram-alpha-inf",
+        "unigram-alpha-not-number",
+        "stats-alpha-zero",
+        "stats-alpha-one",
+        "stats-alpha-nan",
+        "stats-alpha-negative",
+    ],
 )
-def test_out_of_range_options_are_usage_errors(capsys, argv):
+def test_out_of_range_options_are_usage_errors(capsys, argv, expected):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert err.startswith("usage: morphlens ")
-    assert "expected a positive integer" in err
+    assert expected in err
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from morphlens.corpus import (
     byte_premium,
     corpus_counts,
     read_lines,
+    read_text,
     sample_lines,
 )
 from morphlens.pretokenize import pretokenize
@@ -41,6 +42,19 @@ def test_invalid_utf8_reports_offset(tmp_path):
     p = write(tmp_path, "c.txt", b"ok\n\xffrest\n")
     with pytest.raises(CorpusError, match="byte offset 3"):
         list(read_lines(p))
+
+
+def test_read_text_universal_newlines(tmp_path):
+    p = write(tmp_path, "c.txt", b"a\r\nb\rc\nd")
+    assert read_text(p, CorpusError) == "a\nb\nc\nd"
+
+
+def test_read_text_offset_is_absolute(tmp_path):
+    # past the 8 KiB read buffer, so a chunked decode would report a
+    # chunk-relative offset
+    p = write(tmp_path, "c.txt", b"ab\r\n" * 5000 + b"\xe2\x82")
+    with pytest.raises(ValueError, match=r"c\.txt: invalid UTF-8 at byte offset 20000$"):
+        read_text(p, ValueError)
 
 
 def test_missing_file_fails_fast(tmp_path):

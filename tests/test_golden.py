@@ -1,9 +1,10 @@
 """Byte-exact golden outputs of the CLI on small seeded inputs.
 
 The inputs in `tests/golden/` are an ASCII pretokenized corpus per language
-with a marker vocabulary that has an `<unk>` piece, numeric columns for
-`stats`, and one `run` config per output format. Paths in the configs are
-relative to `tests/golden/`.
+with a marker vocabulary that has an `<unk>` piece, a reference segmentation
+file for `align` (with rejected entries, a word with two references and CRLF
+lines), numeric columns for `stats`, and one `run` config per output format.
+Paths in the configs are relative to `tests/golden/`.
 
 A change that alters a number must say so and regenerate the expected files:
 
@@ -34,6 +35,58 @@ CASES = {
         "3",
         "--percent",
     ],
+    "bigram_w5_lifetime_eta": [
+        "bigram",
+        "alpha.txt",
+        "--vocab",
+        "alpha.tsv",
+        "--window",
+        "5",
+        "--lifetime-eta",
+    ],
+    "bigram_no_pretokenize": ["bigram", "alpha.txt", "--vocab", "alpha.tsv", "--no-pretokenize"],
+    # at the default window no retained type fills one on both sides
+    "bigram_full_windows_only": [
+        "bigram",
+        "alpha.txt",
+        "--vocab",
+        "alpha.tsv",
+        "--full-windows-only",
+    ],
+    "bigram_full_windows_only_w5": [
+        "bigram",
+        "alpha.txt",
+        "--vocab",
+        "alpha.tsv",
+        "--full-windows-only",
+        "--window",
+        "5",
+    ],
+    "tokenize_default": ["tokenize", "alpha.txt", "--vocab", "alpha.tsv"],
+    "tokenize_no_pretokenize": [
+        "tokenize",
+        "alpha.txt",
+        "--vocab",
+        "alpha.tsv",
+        "--no-pretokenize",
+    ],
+    **{
+        f"align_{mode.replace('-', '_')}": [
+            "align",
+            "refs.tsv",
+            "--vocab",
+            "alpha.tsv",
+            "--mode",
+            mode,
+        ]
+        for mode in (
+            "full",
+            "morphscore-exclude",
+            "morphscore-credit",
+            "stem-suffix",
+            "suffix-suffix",
+        )
+    },
     "unigram_default": ["unigram", "alpha.txt", "--vocab", "alpha.tsv"],
     "unigram_w7": ["unigram", "alpha.txt", "--vocab", "alpha.tsv", "--mattr-window", "7"],
     "run_tsv": ["run", "--config", "run_tsv.ini"],

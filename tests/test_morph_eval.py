@@ -61,6 +61,21 @@ def test_load_refs_malformed_lines(tmp_path):
     assert loaded.rejected == 1
 
 
+def test_load_refs_crlf(tmp_path):
+    p = tmp_path / "refs.tsv"
+    p.write_bytes(b"gathered\tgather|ed\r\nok\tok\r\n")
+    loaded = load_refs(p)
+    assert [r.morphs for r in loaded.refs] == [("gather", "ed"), ("ok",)]
+    assert loaded.rejected == 0
+
+
+def test_load_refs_invalid_utf8_reports_offset(tmp_path):
+    p = tmp_path / "refs.tsv"
+    p.write_bytes(b"ok\tok\n" * 3 + b"\xff\tx\n")
+    with pytest.raises(MorphEvalError, match=r"refs\.tsv: invalid UTF-8 at byte offset 18$"):
+        load_refs(p)
+
+
 # --- predicted boundaries --------------------------------------------------
 
 

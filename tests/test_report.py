@@ -157,6 +157,24 @@ def test_analyze_language_does_not_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_package_imports_no_numpy():
+    # morphlens has no runtime dependencies: every submodule and both seeded
+    # demo generators run on the standard library alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    code = (
+        "import importlib, pkgutil, sys, morphlens\n"
+        "for m in pkgutil.iter_modules(morphlens.__path__):\n"
+        "    importlib.import_module('morphlens.' + m.name)\n"
+        "from morphlens.stats import near_significant_pair, quadratic_regression_pair\n"
+        "near_significant_pair(seed=1)\n"
+        "quadratic_regression_pair(seed=0, n=100)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 # VmHWM is the peak RSS of this process image only; ru_maxrss would also
 # count the RSS of the test process the child was forked from
 PEAK_RSS = """

@@ -154,6 +154,12 @@ def test_renyi_negative_alpha_errors():
         renyi_efficiency(table_of({"a": 1, "b": 1}), -0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_renyi_non_finite_alpha_errors(alpha):
+    with pytest.raises(ValueError):
+        renyi_efficiency(table_of({"a": 1, "b": 1}), alpha)
+
+
 def test_renyi_alpha_one_is_shannon():
     freq = table_of({"a": 3, "b": 1})
     h = -(0.75 * math.log2(0.75) + 0.25 * math.log2(0.25))

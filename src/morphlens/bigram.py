@@ -21,27 +21,19 @@ update in O(1) per element entering or leaving the window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pretokenize import DEFAULT_MARKER, is_lexical
 
 DEFAULT_WINDOW = 1000
 
-# c * log2(c) for every count a default-sized window can hold; index 0 and 1
-# are 0. Immutable, so threads share it without a lock.
-_CLOG2: Tuple[float, ...] = (0.0, 0.0) + tuple(
-    k * math.log2(k) for k in range(2, DEFAULT_WINDOW + 2)
-)
-
 # Pending pairs that trigger a replay into the accessor windows.
 _FLUSH_PAIRS = 1 << 15
 
 
 def _clog2(c: int) -> float:
-    if c < len(_CLOG2):
-        return _CLOG2[c]
-    return c * math.log2(c)
+    return c * math.log2(c) if c > 1 else 0.0
 
 
 def entropy_steps(stop: int, start: int = 0) -> List[float]:
@@ -55,15 +47,26 @@ class MetricsError(Exception):
     pass
 
 
+def _efficiency(h: float, n: int, pool: int) -> float:
+    """Entropy h of n accessors over the maximal entropy log2(min(pool, n));
+    min(pool, n) <= 1 defines eta = 0."""
+    m = min(pool, n)
+    if m <= 1:
+        return 0.0
+    return min(1.0, h / math.log2(m))
+
+
 class AccessorState:
-    """Sliding-window accessor statistics for one token type on one side."""
+    """Sliding-window accessor statistics for one token type on one side.
+
+    `window` holds the last `capacity` accessors, oldest first. `push` is the
+    one-at-a-time reference, O(capacity) per accessor once the window is
+    full; `extend` is the batched path `BigramTables` uses."""
 
     __slots__ = (
         "capacity",
         "stride",
         "window",
-        "head",
-        "fill",
         "counts",
         "distinct",
         "entropy_acc",
@@ -83,9 +86,7 @@ class AccessorState:
     ):
         self.capacity = capacity
         self.stride = stride
-        self.window: List[int] = []  # ring buffer once full
-        self.head = 0
-        self.fill = 0
+        self.window: List[int] = []
         self.counts: Dict[int, int] = {}
         self.distinct = 0
         self.entropy_acc = 0.0  # sum of c * log2(c) over window counts
@@ -98,14 +99,18 @@ class AccessorState:
         # over the whole accessor history instead of windows
         self.life_counts: Optional[Dict[int, int]] = {} if track_lifetime else None
 
+    @property
+    def fill(self) -> int:
+        """Accessors in the window: min(ta, capacity)."""
+        return len(self.window)
+
     def push(self, accessor: int) -> None:
         if self.life_counts is not None:
             self.life_counts[accessor] = self.life_counts.get(accessor, 0) + 1
         counts = self.counts
-        if self.fill == self.capacity:
-            old = self.window[self.head]
-            self.window[self.head] = accessor
-            self.head = (self.head + 1) % self.capacity
+        window = self.window
+        if len(window) == self.capacity:
+            old = window.pop(0)
             c = counts[old]
             if c == 1:
                 del counts[old]
@@ -113,16 +118,14 @@ class AccessorState:
             else:
                 counts[old] = c - 1
             self.entropy_acc += _clog2(c - 1) - _clog2(c)
-        else:
-            self.window.append(accessor)
-            self.fill += 1
+        window.append(accessor)
         c = counts.get(accessor, 0)
         counts[accessor] = c + 1
         if c == 0:
             self.distinct += 1
         self.entropy_acc += _clog2(c + 1) - _clog2(c)
         self.ta += 1
-        if self.fill == self.capacity and (self.ta - self.capacity) % self.stride == 0:
+        if len(window) == self.capacity and (self.ta - self.capacity) % self.stride == 0:
             self.av_sum += self.distinct
             w = self.capacity
             # clamp: accumulated rounding can push a zero entropy negative
@@ -144,41 +147,34 @@ class AccessorState:
         get = counts.get
         distinct = self.distinct
         acc = self.entropy_acc
-        room = cap - self.fill
+        room = cap - len(window)
         if room:
             fresh = accessors[:room]
-            accessors = accessors[room:]
-            window.extend(fresh)
             for a in fresh:
                 c = get(a, 0)
                 counts[a] = c + 1
                 if c == 0:
                     distinct += 1
                 acc += steps[c]
-            self.fill += len(fresh)
             self.ta += len(fresh)
-            if self.fill == cap:
-                # the first full window is always sampled: ta == capacity
+            if self.ta == cap:
+                # the first full window is always sampled
                 self.av_sum += distinct
                 h = math.log2(cap) - acc / cap
                 self.h_sum += h if h > 0.0 else 0.0
                 self.snapshots += 1
-        n = len(accessors)
-        if n:
-            head = self.head
-            # the accessor leaving at each step: the window from its oldest
-            # slot on, then the accessors of this batch itself
-            if head + n <= cap:
-                leaving = window[head : head + n]
-            else:
-                leaving = window[head:] + window[:head] + accessors
+        window += accessors
+        if len(window) > cap:
             stride = self.stride
             until = stride - (self.ta - cap) % stride  # steps to the next sample
             av_sum = self.av_sum
             h_sum = self.h_sum
             snapshots = self.snapshots
             log2w = math.log2(cap)
-            for old, a in zip(leaving, accessors):
+            entering = accessors[room:]
+            # the window now lists every accessor oldest first, so the k-th
+            # entering accessor pushes out window[k]
+            for old, a in zip(window, entering):
                 c = counts[old]
                 if c == 1:
                     del counts[old]
@@ -201,19 +197,8 @@ class AccessorState:
             self.av_sum = av_sum
             self.h_sum = h_sum
             self.snapshots = snapshots
-            self.ta += n
-            # write the ring buffer back as push would have left it
-            end = (head + n) % cap
-            if n >= cap:
-                tail = accessors[-cap:]
-                window[end:] = tail[: cap - end]
-                window[:end] = tail[cap - end :]
-            elif head + n <= cap:
-                window[head : head + n] = accessors
-            else:
-                window[head:] = accessors[: cap - head]
-                window[:end] = accessors[cap - head :]
-            self.head = end
+            self.ta += len(entering)
+            del window[:-cap]
         self.distinct = distinct
         self.entropy_acc = acc
 
@@ -239,17 +224,12 @@ class AccessorState:
         if pool < 1:
             raise MetricsError(f"accessor pool must be >= 1, got {pool}")
         if self.snapshots:
-            denom_arg = min(pool, self.capacity)
-            if denom_arg <= 1:
-                return 0.0
-            return min(1.0, self.h_sum / self.snapshots / math.log2(denom_arg))
-        if self.fill == 0:
+            return _efficiency(self.h_sum / self.snapshots, self.capacity, pool)
+        fill = self.fill
+        if fill == 0:
             return 0.0
-        denom_arg = min(pool, self.fill)
-        if denom_arg <= 1:
-            return 0.0
-        h = max(0.0, math.log2(self.fill) - self.entropy_acc / self.fill)
-        return min(1.0, h / math.log2(denom_arg))
+        h = max(0.0, math.log2(fill) - self.entropy_acc / fill)
+        return _efficiency(h, fill, pool)
 
     def lifetime_eta(self, pool: int) -> float:
         """Eta over the whole accessor history instead of windows."""
@@ -259,12 +239,9 @@ class AccessorState:
             raise MetricsError("lifetime counts were not tracked")
         if self.ta == 0:
             return 0.0
-        denom_arg = min(pool, self.ta)
-        if denom_arg <= 1:
-            return 0.0
         acc = sum(_clog2(c) for c in self.life_counts.values())
         h = max(0.0, math.log2(self.ta) - acc / self.ta)
-        return min(1.0, h / math.log2(denom_arg))
+        return _efficiency(h, self.ta, pool)
 
     def boundary_ratio(self) -> float:
         total = self.ta + self.dummies

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from . import bigram as bigram_mod
 from . import morph_eval, stats
@@ -75,12 +75,14 @@ _nonnegative_float = _float_type(lambda v: 0 <= v < math.inf, "a finite number >
 _probability = _float_type(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _write(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write each line and a newline as it comes, to `path` or stdout."""
+    out = (line + "\n" for line in lines)
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(out)
 
 
 def cmd_counts(args) -> int:
@@ -103,8 +105,7 @@ def cmd_tokenize(args) -> int:
     vocab = load_vocab(args.vocab)
     corpus = read_lines(args.corpus)
     lines = tokenize_corpus(corpus, vocab, not args.no_pretokenize, args.greedy)
-    out_lines = [" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines]
-    _write(args.out, "\n".join(out_lines) + "\n")
+    _write(args.out, (" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines))
     return 0
 
 
@@ -146,7 +147,7 @@ def cmd_bigram(args) -> int:
     lines.append(f"# lr\t{_fmt(report.lr, pct)}")
     lines.append(f"# retained\t{report.retained_count}")
     lines.append(f"# filtered\t{report.filtered_count}")
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, lines)
     return 0
 
 
@@ -165,7 +166,7 @@ def cmd_unigram(args) -> int:
         f"mtl\t{unigrams.mtl():.6f}",
         f"renyi_efficiency\t{renyi_efficiency(unigrams.frequency(), args.alpha):.6f}",
     ]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, lines)
     return 0
 
 
@@ -215,7 +216,7 @@ def cmd_align(args) -> int:
             f"n_evaluated\t{result.n_evaluated}",
             f"n_skipped\t{result.n_skipped}",
         ]
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, lines)
     return 0
 
 
@@ -270,7 +271,7 @@ def cmd_stats(args) -> int:
         payload = asdict(stats.duplication_effect(*samples, args.k, args.alternative))
     else:
         payload = asdict(stats.ols_simple(*samples))
-    _write(args.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, [json.dumps(payload, indent=2)])
     return 0
 
 
@@ -330,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-windows-only",
         action="store_true",
-        help="exclude types that never filled a window from macro averages",
+        help="exclude types that never filled a window from macro averages; "
+        "'# retained' then counts only the types in the averages",
     )
     p.add_argument(
         "--lifetime-eta",

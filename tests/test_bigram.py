@@ -381,6 +381,7 @@ def test_extend_equals_repeated_push(window, stride, lifetime, accessors, cuts):
             ref.push(a)
         batched.extend(chunk, steps)
         assert slots(batched) == slots(ref)
+        assert batched.window == accessors[:stop][-window:]
         start = stop
 
 
@@ -457,7 +458,6 @@ def test_tables_past_the_flush_threshold_equal_unbatched():
 
 
 def test_clog2_table_is_immutable_and_exact():
-    assert isinstance(bigram._CLOG2, tuple)
     assert bigram._clog2(0) == 0.0
     for c in range(1, 5001):
         assert bigram._clog2(c) == c * math.log2(c)

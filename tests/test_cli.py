@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import morphlens
 from morphlens.cli import main
 from morphlens.corpus import read_lines
 from morphlens.report import analyze_language
@@ -54,6 +59,63 @@ def test_tokenize(capsys, lang):
     lines = out.strip().splitlines()
     assert len(lines) == 15
     assert lines[0] == "ab a b ab ca"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_tokenize_input_error_after_valid_lines(capsys, tmp_path, lang, to_file):
+    # output streams: the lines before the bad byte stay written, and the
+    # command still ends with the one-line error
+    valid, vocab = lang
+    _, expected = run_cli(capsys, "tokenize", str(valid), "--vocab", str(vocab))
+    corpus = tmp_path / "late.txt"
+    corpus.write_bytes(CORPUS.encode("utf-8") + b"ab\xff\n")
+    out_path = tmp_path / "out.txt"
+    out_args = ["--out", str(out_path)] if to_file else []
+    code = main(["tokenize", str(corpus), "--vocab", str(vocab)] + out_args)
+    captured = capsys.readouterr()
+    assert code == 1
+    offset = len(CORPUS) + 2
+    assert captured.err == f"morphlens: error: invalid UTF-8 at byte offset {offset}\n"
+    out = out_path.read_text(encoding="utf-8") if to_file else captured.out
+    assert out == expected
+
+
+# VmHWM is the peak RSS of this process image only; ru_maxrss would also
+# count the RSS of the test process the child was forked from
+TOKENIZE_PEAK_RSS = """
+import sys
+from morphlens.cli import main
+assert main(["tokenize", sys.argv[1], "--vocab", sys.argv[2], "--out", sys.argv[3]]) == 0
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_tokenize_memory_does_not_grow_with_corpus(tmp_path):
+    # 3,000 then 24,000 lines of the golden corpus: the output streams, so
+    # peak RSS stays flat; holding the output in memory adds ~10 MB
+    golden = Path(__file__).resolve().parent / "golden"
+    lines = (golden / "alpha.txt").read_text(encoding="utf-8")
+    assert lines.count("\n") == 300
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    peaks = []
+    for copies in (10, 80):
+        corpus = tmp_path / f"corpus{copies}.txt"
+        corpus.write_text(lines * copies, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", TOKENIZE_PEAK_RSS, str(corpus), str(golden / "alpha.tsv"),
+             str(tmp_path / "out.txt")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout) / 1024)  # kB to MB
+    assert peaks[1] - peaks[0] < 3.0, peaks
 
 
 def test_tokenize_greedy_differs(capsys, lang):

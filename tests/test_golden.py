@@ -1,7 +1,8 @@
 """Byte-exact golden outputs of the CLI on small seeded inputs.
 
 The inputs in `tests/golden/` are an ASCII pretokenized corpus per language
-with a marker vocabulary that has an `<unk>` piece, a reference segmentation
+with a marker vocabulary that has an `<unk>` piece, a mixed-script corpus of
+long lines with its marker vocabulary, a reference segmentation
 file for `align` (with rejected entries, a word with two references and CRLF
 lines), numeric columns for `stats`, and one `run` config per output format.
 Paths in the configs are relative to `tests/golden/`.
@@ -69,6 +70,26 @@ CASES = {
         "--vocab",
         "alpha.tsv",
         "--no-pretokenize",
+    ],
+    # mixed-script long lines (Latin with diacritics, Cyrillic, Greek) and a
+    # marker vocabulary: the first 150 lines of the seed-3 `wholeline_viterbi`
+    # benchmark corpus, with its whole vocabulary
+    "tokenize_mixed": ["tokenize", "mixed.txt", "--vocab", "mixed.tsv"],
+    "tokenize_mixed_no_pretokenize": [
+        "tokenize",
+        "mixed.txt",
+        "--vocab",
+        "mixed.tsv",
+        "--no-pretokenize",
+    ],
+    "bigram_mixed_no_pretokenize_w50": [
+        "bigram",
+        "mixed.txt",
+        "--vocab",
+        "mixed.tsv",
+        "--no-pretokenize",
+        "--window",
+        "50",
     ],
     **{
         f"align_{mode.replace('-', '_')}": [

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .corpus import Corpus, read_text
@@ -20,6 +21,10 @@ from .pretokenize import DEFAULT_MARKER, pretokenize
 # Each unknown character costs this much; any cover using fewer unknowns
 # always beats one using more, regardless of real piece scores.
 _UNK_SCORE = -1.0e6
+
+# Pretokenized mode caches at most this many distinct pretokens per call, so
+# memory stays bounded when a corpus keeps bringing new word types.
+_SEGMENT_CACHE_MAX = 1 << 16
 
 DEFAULT_UNK = "<unk>"
 
@@ -35,17 +40,29 @@ class Vocabulary:
     `boundary_marker` is auto-detected on load: if any piece contains the
     marker character, segmentation prepends it to pretokens so third-party
     vocabularies load unchanged.
+
+    Segmentation reads a prefix table built from `pieces` once per instance,
+    at the first segmentation, so `pieces` must not be mutated after that.
     """
 
     pieces: Dict[str, float]
     unk_piece: str = DEFAULT_UNK
     boundary_marker: Optional[str] = None
-    _max_piece_len: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.pieces:
             raise VocabularyError("vocabulary is empty")
-        self._max_piece_len = max(len(p) for p in self.pieces)
+
+    @cached_property
+    def _prefix_table(self) -> Dict[str, Optional[float]]:
+        # every piece maps to its score, every other proper prefix of a
+        # piece to None; a string not in the table starts no piece
+        table: Dict[str, Optional[float]] = {}
+        for piece in self.pieces:
+            for k in range(1, len(piece)):
+                table[piece[:k]] = None
+        table.update(self.pieces)
+        return table
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -102,38 +119,71 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     Characters no piece covers map to the unknown piece, one per character.
     Ties break deterministically: highest score, then fewest tokens, then
     lexicographically smallest piece sequence.
+
+    A forward lattice walk: from each position it extends the substring only
+    while it is a prefix of some piece. The cost is one table probe per
+    vocabulary prefix that matches there, plus the probe that ends the
+    extension; there is no scan up to the longest piece length, and piece
+    sequences are rebuilt only on an exact (score, token count) tie.
     """
     if not pretoken:
         raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
-    pieces = vocab.pieces
-    max_len = vocab._max_piece_len
+    table = vocab._prefix_table
     unk = vocab.unk_piece
-    # best[i] covers text[:i] as (score, n_tokens, piece_tuple). Every prefix
-    # has a cover, at worst the one of text[:i-1] plus one unknown piece, and
-    # _better is a strict total order, so the visit order does not matter.
-    best: List[Tuple[float, int, Tuple[str, ...]]] = [(0.0, 0, ())]
-    for i in range(1, len(text) + 1):
-        prev = best[i - 1]
-        candidate = (prev[0] + _UNK_SCORE, prev[1] + 1, prev[2] + (unk,))
-        for j in range(max(0, i - max_len), i):
+    n = len(text)
+    # The best cover of text[:i] found so far scores score[i] with count[i]
+    # tokens and ends with piece_at[i], which starts at back[i]. Pieces only
+    # reach rightward, so the cover of text[:j] is final when the walk gets
+    # to j. count[i] starts above any real count, so the first candidate wins
+    # even at a score of -inf.
+    score = [-math.inf] * (n + 1)
+    count = [n + 1] * (n + 1)
+    back = [0] * (n + 1)
+    piece_at = [unk] * (n + 1)
+    score[0] = 0.0
+    count[0] = 0
+    for j in range(n):
+        base = score[j]
+        c = count[j] + 1
+        i = j + 1
+        s = base + _UNK_SCORE
+        t = score[i]
+        if s > t or s == t and (
+            c < count[i]
+            or c == count[i] and _path(back, piece_at, j) + [unk] < _path(back, piece_at, i)
+        ):
+            score[i] = s
+            count[i] = c
+            back[i] = j
+            piece_at[i] = unk
+        for i in range(j + 1, n + 1):
             piece = text[j:i]
-            score = pieces.get(piece)
-            if score is not None:
-                prev = best[j]
-                cand = (prev[0] + score, prev[1] + 1, prev[2] + (piece,))
-                if _better(cand, candidate):
-                    candidate = cand
-        best.append(candidate)
-    return list(best[-1][2])
+            if piece not in table:
+                break
+            ps = table[piece]
+            if ps is None:
+                continue
+            s = base + ps
+            t = score[i]
+            if s > t or s == t and (
+                c < count[i]
+                or c == count[i] and _path(back, piece_at, j) + [piece] < _path(back, piece_at, i)
+            ):
+                score[i] = s
+                count[i] = c
+                back[i] = j
+                piece_at[i] = piece
+    return _path(back, piece_at, n)
 
 
-def _better(a: Tuple[float, int, Tuple[str, ...]], b: Tuple[float, int, Tuple[str, ...]]) -> bool:
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if a[1] != b[1]:
-        return a[1] < b[1]
-    return a[2] < b[2]
+def _path(back: List[int], piece_at: List[str], i: int) -> List[str]:
+    out = []
+    while i:
+        out.append(piece_at[i])
+        i = back[i]
+    out.reverse()
+    return out
 
 
 def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
@@ -142,24 +192,27 @@ def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
     if not pretoken:
         raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
-    pieces = vocab.pieces
-    max_len = vocab._max_piece_len
+    table = vocab._prefix_table
     out: List[str] = []
     i = 0
     n = len(text)
     while i < n:
-        match = None
-        for length in range(min(max_len, n - i), 0, -1):
-            piece = text[i : i + length]
-            if piece in pieces:
-                match = piece
+        # the end of the longest piece starting at i, or i if none does
+        end = i
+        k = i + 1
+        while k <= n:
+            piece = text[i:k]
+            if piece not in table:
                 break
-        if match is None:
+            if table[piece] is not None:
+                end = k
+            k += 1
+        if end == i:
             out.append(vocab.unk_piece)
             i += 1
         else:
-            out.append(match)
-            i += len(match)
+            out.append(text[i:end])
+            i = end
     return out
 
 
@@ -187,7 +240,8 @@ def tokenize_corpus(
 
     Pretokenized mode gives one span per pretoken, segmented on its own
     (bigram statistics then stay within words). Equal pretokens share one
-    cached pieces list per call, so callers must not mutate it.
+    cached pieces list per call, so callers must not mutate it; the cache
+    stops growing at a fixed number of distinct pretokens.
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
@@ -202,7 +256,9 @@ def tokenize_corpus(
             for pretoken in pretokenize(line):
                 pieces = cache.get(pretoken)
                 if pieces is None:
-                    pieces = cache[pretoken] = segment(pretoken, vocab)
+                    pieces = segment(pretoken, vocab)
+                    if len(cache) < _SEGMENT_CACHE_MAX:
+                        cache[pretoken] = pieces
                 spans.append((pretoken, pieces))
             yield line, spans
     else:

@@ -454,18 +454,18 @@ def test_tables_past_the_flush_threshold_equal_unbatched():
     assert [tm.av_l for tm in report.types] == [left[ids[tm.type]].windowed_av() for tm in report.types]
 
 
-# --- c*log2(c) table under threads -----------------------------------------
+# --- c*log2(c) under threads -----------------------------------------------
 
 
-def test_clog2_table_is_immutable_and_exact():
+def test_clog2_exact():
     assert bigram._clog2(0) == 0.0
     for c in range(1, 5001):
         assert bigram._clog2(c) == c * math.log2(c)
 
 
 def test_clog2_threads_stress():
-    # every thread drives its own tables with counts far past the precomputed
-    # table, so a shared cache growing on demand would race between threads
+    # every thread drives its own tables with window counts up to 20,000, so
+    # any shared c*log2(c) cache that grew on demand would race between threads
     window = 20_000
     rng = random.Random(37)
     spans = random_spans(rng, 3000, list("abcd"))

@@ -91,22 +91,17 @@ with open("/proc/self/status") as f:
 """
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
-def test_tokenize_memory_does_not_grow_with_corpus(tmp_path):
-    # 3,000 then 24,000 lines of the golden corpus: the output streams, so
-    # peak RSS stays flat; holding the output in memory adds ~10 MB
-    golden = Path(__file__).resolve().parent / "golden"
-    lines = (golden / "alpha.txt").read_text(encoding="utf-8")
-    assert lines.count("\n") == 300
+def tokenize_peak_rss_mb(tmp_path, texts):
+    """Peak RSS in MB of one `tokenize` process per corpus text, alpha vocabulary."""
+    vocab = Path(__file__).resolve().parent / "golden" / "alpha.tsv"
     src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     peaks = []
-    for copies in (10, 80):
-        corpus = tmp_path / f"corpus{copies}.txt"
-        corpus.write_text(lines * copies, encoding="utf-8")
+    for k, text in enumerate(texts):
+        corpus = tmp_path / f"corpus{k}.txt"
+        corpus.write_text(text, encoding="utf-8")
         proc = subprocess.run(
-            [sys.executable, "-c", TOKENIZE_PEAK_RSS, str(corpus), str(golden / "alpha.tsv"),
+            [sys.executable, "-c", TOKENIZE_PEAK_RSS, str(corpus), str(vocab),
              str(tmp_path / "out.txt")],
             env=env,
             capture_output=True,
@@ -115,6 +110,44 @@ def test_tokenize_memory_does_not_grow_with_corpus(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         peaks.append(int(proc.stdout) / 1024)  # kB to MB
+    return peaks
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_tokenize_memory_does_not_grow_with_corpus(tmp_path):
+    # 3,000 then 24,000 lines of the golden corpus: the output streams, so
+    # peak RSS stays flat; holding the output in memory adds ~10 MB
+    golden = Path(__file__).resolve().parent / "golden"
+    lines = (golden / "alpha.txt").read_text(encoding="utf-8")
+    assert lines.count("\n") == 300
+    peaks = tokenize_peak_rss_mb(tmp_path, [lines * 10, lines * 80])
+    assert peaks[1] - peaks[0] < 3.0, peaks
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_tokenize_memory_bounded_when_word_types_grow(tmp_path):
+    # every word is new: 72,000 then 144,000 distinct pretokens, both past
+    # the segment cache bound (65,536), so peak RSS stays flat; caching every
+    # pretoken adds ~35 MB on the larger corpus
+    syllables = [c + v for c in "bdgkmnrst" for v in "aeiou"]
+
+    def word(i):
+        out = "ke"
+        while True:
+            i, r = divmod(i, len(syllables))
+            out += syllables[r]
+            if not i:
+                return out
+
+    def corpus(n_words):
+        return "".join(
+            " ".join(word(i) for i in range(start, start + 8)) + "\n"
+            for start in range(0, n_words, 8)
+        )
+
+    peaks = tokenize_peak_rss_mb(tmp_path, [corpus(72_000), corpus(144_000)])
     assert peaks[1] - peaks[0] < 3.0, peaks
 
 

@@ -1,18 +1,26 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from morphlens import tokenizer
 from morphlens.corpus import Corpus
 from morphlens.tokenizer import (
+    _UNK_SCORE,
     Vocabulary,
     VocabularyError,
+    _with_marker,
     load_vocab,
     segment_greedy,
     segment_viterbi,
     strip_marker,
     tokenize_corpus,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def vocab_of(**pieces):
@@ -155,6 +163,110 @@ def oracle_best(text, vocab):
     return list(best[2])
 
 
+def reference_viterbi(pretoken, vocab):
+    """The per-prefix tuple Viterbi that the prefix-table lattice replaced,
+    kept as the reference: it scans every span up to the longest piece and
+    carries each prefix's whole piece sequence."""
+    if not pretoken:
+        raise ValueError("pretoken must be nonempty")
+    text = _with_marker(pretoken, vocab)
+    pieces = vocab.pieces
+    max_len = max(len(p) for p in pieces)
+    unk = vocab.unk_piece
+    best = [(0.0, 0, ())]
+    for i in range(1, len(text) + 1):
+        prev = best[i - 1]
+        candidate = (prev[0] + _UNK_SCORE, prev[1] + 1, prev[2] + (unk,))
+        for j in range(max(0, i - max_len), i):
+            piece = text[j:i]
+            score = pieces.get(piece)
+            if score is not None:
+                prev = best[j]
+                cand = (prev[0] + score, prev[1] + 1, prev[2] + (piece,))
+                if _better(cand, candidate):
+                    candidate = cand
+        best.append(candidate)
+    return list(best[-1][2])
+
+
+def _better(a, b):
+    if a[0] != b[0]:
+        return a[0] > b[0]
+    if a[1] != b[1]:
+        return a[1] < b[1]
+    return a[2] < b[2]
+
+
+def reference_greedy(pretoken, vocab):
+    """Longest match by scanning down from the longest piece length."""
+    text = _with_marker(pretoken, vocab)
+    max_len = max(len(p) for p in vocab.pieces)
+    out = []
+    i = 0
+    while i < len(text):
+        for length in range(min(max_len, len(text) - i), 0, -1):
+            if text[i : i + length] in vocab.pieces:
+                out.append(text[i : i + length])
+                i += length
+                break
+        else:
+            out.append(vocab.unk_piece)
+            i += 1
+    return out
+
+
+# Integer-valued scores make exact (score, token count) ties common, so the
+# lattice's path-rebuild tie-break runs often; "x" is in no piece, so covers
+# need <unk> gaps, and "▁" is the boundary marker when the vocabulary has one.
+@given(
+    pieces=st.dictionaries(
+        st.text(alphabet="abc▁", min_size=1, max_size=4),
+        st.sampled_from([-1.0, -2.0, -3.0]),
+        min_size=1,
+        max_size=12,
+    ),
+    marker=st.booleans(),
+    text=st.text(alphabet="abcx▁", min_size=1, max_size=14),
+)
+@settings(max_examples=500, deadline=None)
+def test_lattice_matches_reference(pieces, marker, text):
+    vocab = Vocabulary(pieces=pieces, boundary_marker="▁" if marker else None)
+    assert segment_viterbi(text, vocab) == reference_viterbi(text, vocab)
+    assert segment_greedy(text, vocab) == reference_greedy(text, vocab)
+
+
+def test_viterbi_ties_match_exhaustive_oracle():
+    # every piece scores the same, so equal-count covers tie exactly and the
+    # lexicographic rule decides; "x" is unknown. With these pieces, keeping
+    # whichever tied cover was found first fails on "acabb", where the tie
+    # is met relaxing a piece, and on "bbaac", where it is met relaxing <unk>.
+    vocab = vocab_of(**{p: -1.0 for p in ("b", "ac", "bb", "aaa", "aba", "acc", "baa", "cab")})
+    cases = 0
+    for length in range(1, 7):
+        for chars in itertools.product("abcx", repeat=length):
+            text = "".join(chars)
+            assert segment_viterbi(text, vocab) == oracle_best(text, vocab), text
+            cases += 1
+    assert cases == sum(4**k for k in range(1, 7))
+
+
+def test_viterbi_long_whole_line_matches_reference():
+    # thousands of characters in one span, as in non-pretokenized mode
+    vocab = load_vocab(GOLDEN / "mixed.tsv")
+    lines = (GOLDEN / "mixed.txt").read_text(encoding="utf-8").splitlines()
+    line = " ".join(lines[:40]).replace(" ", vocab.boundary_marker)
+    assert len(line) > 5000
+    assert segment_viterbi(line, vocab) == reference_viterbi(line, vocab)
+    assert segment_greedy(line, vocab) == reference_greedy(line, vocab)
+
+
+def test_prefix_table_is_built_at_first_segmentation():
+    vocab = vocab_of(ab=-1.0, abcd=-2.0)
+    assert "_prefix_table" not in vars(vocab)
+    segment_viterbi("ab", vocab)
+    assert vocab._prefix_table == {"a": None, "ab": -1.0, "abc": None, "abcd": -2.0}
+
+
 def test_viterbi_matches_exhaustive_oracle():
     vocab = vocab_of(**{"a": -1.0, "b": -2.0, "d": -1.2, "ab": -3.0, "bc": -2.4})
     alphabet = "abcd"
@@ -218,6 +330,22 @@ def test_tokenize_one_token_per_word():
     vocab = Vocabulary(pieces={"▁a": -1.0, "▁b": -1.0}, boundary_marker="▁")
     lines = list(tokenize_corpus(Corpus.from_lines(["a b"]), vocab))
     assert lines == [("a b", [("a", ["▁a"]), ("b", ["▁b"])])]
+
+
+def test_tokenize_segment_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(tokenizer, "_SEGMENT_CACHE_MAX", 2)
+    calls = []
+
+    def segment(pretoken, vocab):
+        calls.append(pretoken)
+        return [pretoken]
+
+    monkeypatch.setattr(tokenizer, "segment_viterbi", segment)
+    corpus = Corpus.from_lines(["a b c", "a b c"])
+    lines = list(tokenize_corpus(corpus, vocab_of(a=-1.0)))
+    assert [pieces for _, spans in lines for _, pieces in spans] == [["a"], ["b"], ["c"]] * 2
+    # the first two pretokens are cached, "c" past the bound is segmented each time
+    assert calls == ["a", "b", "c", "c"]
 
 
 def test_tokenize_empty_corpus():

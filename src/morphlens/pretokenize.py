@@ -5,14 +5,18 @@ characters becomes its own pretoken, so punctuation never sticks to letters.
 Unicode general categories come from the stdlib `unicodedata` module; the
 pinned UCD version is `unicodedata.unidata_version` (documented in README).
 
-ASCII lines take a regular-expression fast path whose punctuation class is
-derived from the same `unicodedata` categories; it gives output identical to
-the character loop that handles every other line.
+Every line is split by one compiled regular expression, `[P]+|[^\\sP]+`,
+whose punctuation class `P` is learned from the characters seen so far: it
+starts with ASCII, and a line holding characters not seen before has just
+those classified with `unicodedata` (the pattern is recompiled only when one
+of them is punctuation). So each distinct character is classified once per
+process, and there is no Unicode table to keep in step with the UCD.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 import unicodedata
 from typing import List
 
@@ -20,15 +24,26 @@ DEFAULT_MARKER = "▁"  # the low-line-block word-boundary convention
 
 
 def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+    # whitespace only separates, so the class must not overlap `\s` (which
+    # matches exactly the characters for which str.isspace is true)
+    return unicodedata.category(ch).startswith("P") and not ch.isspace()
 
 
-_ASCII_PUNCT = re.escape(
-    "".join(chr(c) for c in range(128) if _is_punct(chr(c)))
-)
-# maximal runs of punctuation, or of anything but whitespace and punctuation;
-# `\s` and str.isspace agree on every ASCII character
-_ASCII_PRETOKEN = re.compile(f"[{_ASCII_PUNCT}]+|[^\\s{_ASCII_PUNCT}]+")
+def _compile(punct: str) -> re.Pattern:
+    # maximal runs of punctuation, or of anything but whitespace and punctuation
+    cls = re.escape(punct)
+    return re.compile(f"[{cls}]+|[^\\s{cls}]+")
+
+
+# Characters already classified, and the punctuation among them: process-wide
+# state, but only a cache of fixed facts, so no caller sees another's effect
+# in its output. Learning holds the lock and publishes the wider pattern
+# before `_known` grows, so a line whose characters are all known is split by
+# a pattern that covers them.
+_lock = threading.Lock()
+_known = set(map(chr, range(128)))
+_punct = "".join(filter(_is_punct, _known))
+_pattern = _compile(_punct)
 
 
 def pretokenize(line: str) -> List[str]:
@@ -38,31 +53,20 @@ def pretokenize(line: str) -> List[str]:
     run is emitted as its own pretoken. Concatenating the pretokens yields
     the line minus whitespace. "don't stop." -> [don, ', t, stop, .]
     """
-    if line.isascii():
-        return _ASCII_PRETOKEN.findall(line)
-    return _pretokenize_loop(line)
+    if not line.isascii() and not _known.issuperset(line):
+        _learn(line)
+    return _pattern.findall(line)
 
 
-def _pretokenize_loop(line: str) -> List[str]:
-    """The character loop behind `pretokenize`, for any line."""
-    pretokens: List[str] = []
-    buf: List[str] = []
-    buf_is_punct = False
-    for ch in line:
-        if ch.isspace():
-            if buf:
-                pretokens.append("".join(buf))
-                buf = []
-            continue
-        punct = _is_punct(ch)
-        if buf and punct != buf_is_punct:
-            pretokens.append("".join(buf))
-            buf = []
-        buf.append(ch)
-        buf_is_punct = punct
-    if buf:
-        pretokens.append("".join(buf))
-    return pretokens
+def _learn(line: str) -> None:
+    global _pattern, _punct
+    with _lock:
+        new = set(line) - _known
+        punct = "".join(filter(_is_punct, new))
+        if punct:
+            _punct += punct
+            _pattern = _compile(_punct)
+        _known.update(new)
 
 
 def is_lexical(type_string: str, marker: str = DEFAULT_MARKER) -> bool:

@@ -41,8 +41,10 @@ class Vocabulary:
     marker character, segmentation prepends it to pretokens so third-party
     vocabularies load unchanged.
 
-    Segmentation reads a prefix table built from `pieces` once per instance,
-    at the first segmentation, so `pieces` must not be mutated after that.
+    Segmentation reads a prefix table and a piece-to-own-string map built
+    from `pieces` once per instance, at the first segmentation, so `pieces`
+    must not be mutated after that. Returned pieces are the very string
+    objects held in `pieces` (or `unk_piece`).
     """
 
     pieces: Dict[str, float]
@@ -63,6 +65,15 @@ class Vocabulary:
                 table[piece[:k]] = None
         table.update(self.pieces)
         return table
+
+    @cached_property
+    def _own_strings(self) -> Dict[str, str]:
+        # each piece (and the unknown piece) to this vocabulary's own string
+        # object, so segmentations and the caches holding them share the
+        # vocabulary's strings instead of keeping sliced copies
+        own = {piece: piece for piece in self.pieces}
+        own[self.unk_piece] = self.unk_piece
+        return own
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -174,7 +185,8 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
                 count[i] = c
                 back[i] = j
                 piece_at[i] = piece
-    return _path(back, piece_at, n)
+    own = vocab._own_strings
+    return [own[piece] for piece in _path(back, piece_at, n)]
 
 
 def _path(back: List[int], piece_at: List[str], i: int) -> List[str]:
@@ -193,6 +205,7 @@ def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
         raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
     table = vocab._prefix_table
+    own = vocab._own_strings
     out: List[str] = []
     i = 0
     n = len(text)
@@ -211,7 +224,7 @@ def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
             out.append(vocab.unk_piece)
             i += 1
         else:
-            out.append(text[i:end])
+            out.append(own[text[i:end]])
             i = end
     return out
 

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import morphlens
 from morphlens.cli import main
@@ -579,3 +584,104 @@ def test_stats_bad_input_is_one_line_error(capsys, tmp_path, content, message):
     assert err.startswith("morphlens: error: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+# --- generated corpora at the command boundary ------------------------------
+
+# "x", "y" and "z" are in no piece, so words holding them segment to <unk>
+BOUNDARY_VOCAB = "a\t-2.0\nb\t-2.2\nab\t-3.0\nба\t-2.5\n"
+COMMANDS = st.sampled_from(["tokenize", "bigram", "unigram"])
+WORDS = st.text(alphabet="abxyб", min_size=1, max_size=5)
+LINES = st.lists(st.lists(WORDS, max_size=5).map(" ".join), min_size=1, max_size=8)
+
+
+def run_on_bytes(command, corpus, vocab=BOUNDARY_VOCAB.encode("utf-8"), options=()):
+    """(exit code, output file bytes, stderr) of one command run on a corpus
+    and a vocabulary given as bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("c.txt", "v.tsv", "out")]
+        for path, data in zip(paths, (corpus, vocab)):
+            with open(path, "wb") as f:
+                f.write(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, paths[0], "--vocab", paths[1], "--out", paths[2], *options])
+        out = Path(paths[2]).read_bytes() if os.path.exists(paths[2]) else b""
+    return code, out, err.getvalue()
+
+
+@given(
+    command=COMMANDS,
+    lines=LINES,
+    in_vocab=st.booleans(),
+    position=st.integers(min_value=0),
+    bad=st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]),
+)
+@settings(max_examples=100, deadline=None)
+def test_invalid_utf8_anywhere_is_one_line_error(command, lines, in_vocab, position, bad):
+    files = ["\n".join(lines).encode("utf-8") + b"\n", BOUNDARY_VOCAB.encode("utf-8")]
+    data = files[in_vocab]
+    k = position % (len(data) + 1)
+    files[in_vocab] = data[:k] + bad + data[k:]
+    code, _, err = run_on_bytes(command, *files)
+    assert code == 1
+    assert err.startswith("morphlens: error: ")
+    assert "invalid UTF-8 at byte offset" in err
+    assert err.count("\n") == 1
+
+
+@given(
+    command=COMMANDS,
+    lines=LINES,
+    last_newline=st.booleans(),
+    crlf_vocab=st.booleans(),
+    whole_lines=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_crlf_gives_the_bytes_of_lf(command, lines, last_newline, crlf_vocab, whole_lines):
+    # pretokenizing drops a stray "\r" as whitespace; whole lines keep it
+    options = ["--no-pretokenize"] if whole_lines and command != "unigram" else []
+    text = "\n".join(lines) + ("\n" if last_newline else "")
+    vocab = BOUNDARY_VOCAB.replace("\n", "\r\n") if crlf_vocab else BOUNDARY_VOCAB
+    lf = run_on_bytes(command, text.encode("utf-8"), options=options)
+    crlf = run_on_bytes(
+        command,
+        text.replace("\n", "\r\n").encode("utf-8"),
+        vocab.encode("utf-8"),
+        options,
+    )
+    assert crlf == lf
+
+
+def _with_empty_lines(lines):
+    return st.lists(st.sampled_from(["", " ", "\t"]), max_size=3).flatmap(
+        lambda empties: st.permutations(lines + empties)
+    )
+
+
+# Every corpus holds at least one word: with none, bigram and unigram have
+# nothing to report and end with a one-line error.
+def _has_word(lines):
+    return any(line.strip() for line in lines)
+
+
+WORDS_AND_EMPTY_LINES = LINES.filter(_has_word).flatmap(_with_empty_lines)
+ONE_TYPE = st.tuples(WORDS, st.lists(st.integers(1, 4), min_size=1, max_size=5)).map(
+    lambda t: [" ".join([t[0]] * n) for n in t[1]]
+)
+UNK_ONLY = (
+    st.lists(st.text(alphabet="xyz ", min_size=1, max_size=12), min_size=1, max_size=6)
+    .filter(_has_word)
+    .flatmap(_with_empty_lines)
+)
+
+
+@given(
+    command=COMMANDS,
+    lines=st.one_of(WORDS_AND_EMPTY_LINES, ONE_TYPE, UNK_ONLY),
+)
+@settings(max_examples=150, deadline=None)
+def test_degenerate_corpora_exit_zero(command, lines):
+    code, out, err = run_on_bytes(command, ("\n".join(lines) + "\n").encode("utf-8"))
+    assert (code, err) == (0, "")
+    assert out

@@ -1,10 +1,68 @@
+import inspect
+import os
+import subprocess
+import sys
+import textwrap
 import unicodedata
+from pathlib import Path
+from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlens.pretokenize import _pretokenize_loop, is_lexical, pretokenize
+import morphlens
+from morphlens.pretokenize import is_lexical, pretokenize
+
+
+# The character loop that split every non-ASCII line before the learned
+# pattern, kept verbatim as the reference.
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def _pretokenize_loop(line: str) -> List[str]:
+    """The character loop behind `pretokenize`, for any line."""
+    pretokens: List[str] = []
+    buf: List[str] = []
+    buf_is_punct = False
+    for ch in line:
+        if ch.isspace():
+            if buf:
+                pretokens.append("".join(buf))
+                buf = []
+            continue
+        punct = _is_punct(ch)
+        if buf and punct != buf_is_punct:
+            pretokens.append("".join(buf))
+            buf = []
+        buf.append(ch)
+        buf_is_punct = punct
+    if buf:
+        pretokens.append("".join(buf))
+    return pretokens
+
+
+def _run_cold(body: str) -> None:
+    """Run `body` in a fresh interpreter, where `pretokenize` has learned
+    nothing yet, with the reference loop defined; it fails by raising."""
+    src = str(Path(morphlens.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    script = "\n".join(
+        [
+            "import sys, unicodedata",
+            "from typing import List",
+            "from morphlens.pretokenize import pretokenize",
+            inspect.getsource(_is_punct),
+            inspect.getsource(_pretokenize_loop),
+            textwrap.dedent(body),
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_plain_sentence():
@@ -64,6 +122,7 @@ def test_ascii_fast_path_equals_loop_on_every_code_point():
 
 
 def test_ascii_fast_path_control_spaces_and_symbols():
+    # ASCII lines are split by the pattern the module starts with.
     # \x0b \x0c \x1c-\x1f are whitespace to str.isspace; S-category symbols
     # are not punctuation and stay attached to letters
     assert pretokenize("a\x0bb\x0cc\x1cd\x1de\x1ff\x1eg") == list("abcdefg")
@@ -75,6 +134,97 @@ def test_ascii_fast_path_control_spaces_and_symbols():
 @settings(max_examples=300)
 def test_ascii_fast_path_equals_loop(line):
     assert pretokenize(line) == _pretokenize_loop(line)
+
+
+@given(st.text(max_size=80))
+@settings(max_examples=300)
+def test_learned_pattern_equals_loop(line):
+    assert pretokenize(line) == _pretokenize_loop(line)
+
+
+def test_learned_pattern_equals_loop_on_every_code_point():
+    # one long line per 4,096-code-point block and context keeps the pattern
+    # calls few; a cold process, so the class is learned block by block and
+    # the million learned characters leave with it
+    _run_cold(
+        """
+        for lo in range(0, 0x110000, 0x1000):
+            chars = [chr(c) for c in range(lo, lo + 0x1000) if not 0xD800 <= c < 0xE000]
+            # each character alone, then between letters
+            for line in (" ".join(chars), "a" + "a".join(chars) + "a"):
+                assert pretokenize(line) == _pretokenize_loop(line), hex(lo)
+        """
+    )
+
+
+def test_learning_order_in_a_fresh_interpreter():
+    _run_cold(
+        """
+        module = sys.modules["morphlens.pretokenize"]
+        start = module._pattern
+        lines = [
+            "привет мир, как дела",  # new letters only: no recompile
+            "a«b» c¿d? e—f",  # then new punctuation marks
+            "γειά«σου»κόσμε· नमस्ते। «мир»",  # then new letters and punctuation
+        ]
+        for k, line in enumerate(lines):
+            assert pretokenize(line) == _pretokenize_loop(line), line
+            assert (module._pattern is start) == (k == 0), line
+        for line in lines:
+            assert pretokenize(line) == _pretokenize_loop(line), line
+        """
+    )
+
+
+def test_learning_from_four_threads():
+    # Each thread splits its own script from a cold start, so the threads
+    # learn at once. Then, all letters known, they all meet the same new
+    # punctuation marks in the same order: a thread that finds a mark
+    # already known must also find a pattern that covers it. A tiny switch
+    # interval interleaves the threads finely.
+    _run_cold(
+        """
+        import random, threading
+        sys.setswitchinterval(1e-6)
+        scripts = [
+            ("абвгдежзийклмнопрстуфхцчшщъыьэюя", "«»„“…"),
+            ("ابتثجحخدذرزسشصضطظعغفقكلمنهوي", "،؛؟٪«»"),
+            ("कखगघङचछजझञटठडढणतथदधनपफबभमयरलवशषसह", "।॥॰"),
+            ("的一是不了人我在有他这中大来上国个到说们", "。、「」『』〈〉"),
+        ]
+        shared = "‐‑‒–—―‖‗‘’‚‛”‟†‡•‣․‥‧‰‱′″‴‵‶‷‸‹›※‼‽‾‿⁀⁁⁂⁃⁅⁆⁇⁈⁉⁊⁋⁌⁍⁎⁏⁐⁑⁓⁔⁕⁖⁗⁘⁙⁚⁛⁜⁝⁞"
+        barrier = threading.Barrier(len(scripts), timeout=60)
+        failures = []
+
+        def split(seed, letters, punct):
+            rng = random.Random(seed)
+            own = [
+                " ".join(
+                    "".join(rng.choice(letters + punct + "a.") for _ in range(rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 12))
+                )
+                for _ in range(400)
+            ]
+            word = letters[:3]
+            mixed = [word + mark + word for mark in shared]
+            for lines in (own, mixed):
+                barrier.wait()
+                for line in lines:
+                    if pretokenize(line) != _pretokenize_loop(line):
+                        failures.append(line)
+
+        threads = [
+            threading.Thread(target=split, args=(seed, *script))
+            for seed, script in enumerate(scripts)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not failures, failures[:5]
+        """
+    )
 
 
 def test_is_lexical_letters():

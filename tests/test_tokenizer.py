@@ -267,6 +267,25 @@ def test_prefix_table_is_built_at_first_segmentation():
     assert vocab._prefix_table == {"a": None, "ab": -1.0, "abc": None, "abcd": -2.0}
 
 
+def test_pieces_are_the_vocabulary_strings():
+    # segmentations (and so the segment cache) share the vocabulary's string
+    # objects rather than holding sliced copies of them
+    vocab = load_vocab(GOLDEN / "mixed.tsv")
+    own = {id(piece) for piece in vocab.pieces}
+    lines = (GOLDEN / "mixed.txt").read_text(encoding="utf-8").splitlines()[:20]
+    corpus = Corpus.from_lines(lines)
+    spans = [pieces for _, line_spans in tokenize_corpus(corpus, vocab) for _, pieces in line_spans]
+    spans.append(segment_viterbi(" ".join(lines).replace(" ", vocab.boundary_marker), vocab))
+    spans += [segment_greedy(word, vocab) for line in lines for word in line.split()]
+    pieces = [piece for span in spans for piece in span]
+    assert vocab.unk_piece in pieces and len(pieces) > 1000
+    for piece in pieces:
+        if piece != vocab.unk_piece:
+            assert id(piece) in own, piece
+        else:
+            assert piece is vocab.unk_piece
+
+
 def test_viterbi_matches_exhaustive_oracle():
     vocab = vocab_of(**{"a": -1.0, "b": -2.0, "d": -1.2, "ab": -3.0, "bc": -2.4})
     alphabet = "abcd"

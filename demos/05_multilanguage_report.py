@@ -62,5 +62,5 @@ grouping = AL
 )
 
 report = run(load_config(config_path))
-print(emit(report, "tsv", percent=True).decode("utf-8"))
+print("\n".join(emit(report, "tsv", percent=True)), end="\n\n")
 print("rows are sorted by eta; the suffix-stacking language scores higher")

@@ -291,6 +291,28 @@ class BigramReport:
     macro_eta: Optional[float]
     degenerate: bool = False  # every lexical type was filtered
 
+    def lines(self, percent: bool = False) -> List[str]:
+        """The `bigram` table: a header, one row per type, then a `# ` footer.
+        Values have 4 decimals; percent mode scales AU, eta, BR and LR by 100."""
+
+        def fmt(v: float) -> str:
+            return f"{v * 100:.4f}" if percent else f"{v:.4f}"
+
+        out = ["type\tf\tav_L\tav_R\tav_mean\tav_min\tau_mean\teta_mean\tbr_L\tbr_R\tretained"]
+        for t in self.types:
+            cells = [t.type, str(t.f)] + [f"{v:.4f}" for v in (t.av_l, t.av_r, t.av_mean, t.av_min)]
+            cells += [fmt(v) for v in (t.au_mean, t.eta_mean, t.br_l, t.br_r)]
+            out.append("\t".join(cells + ["1" if t.retained else "0"]))
+        if self.degenerate:
+            out.append("# degenerate: every lexical type was filtered")
+        elif self.macro_av is None:
+            out.append("# no retained type filled a window on both sides")
+        else:
+            out += [f"# macro_av\t{self.macro_av:.4f}", f"# macro_av_min\t{self.macro_av_min:.4f}",
+                    f"# macro_au\t{fmt(self.macro_au)}", f"# macro_eta\t{fmt(self.macro_eta)}"]
+        return out + [f"# lr\t{fmt(self.lr)}", f"# retained\t{self.retained_count}",
+                      f"# filtered\t{self.filtered_count}"]
+
 
 class BigramTables:
     """Accumulates per-type left/right accessor statistics over token spans.

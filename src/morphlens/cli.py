@@ -1,11 +1,17 @@
 """`morphlens` command line interface.
 
 Subcommands: counts, byte-premium, tokenize, bigram, unigram, align,
-stats (welch|gap|holm|dup|ols), run. Exit codes: 0 success; 1 an input
-error (missing file, invalid UTF-8, bad vocabulary or number, no tokens or
-lexical types, a failed statistic) with a one-line message, or for `run` a
-failed language row; 2 a usage error (option out of range, wrong number of
-`stats` inputs) or for `run` a config error.
+stats (welch|gap|holm|dup|ols), run. Each `cmd_*` is a thin wrapper over
+library calls: it does its eager work (loading the vocabulary, checking
+input paths, loading the config) and returns its output lines. `main` is
+the one place that writes them, UTF-8 encoded whatever the locale, to
+`--out` or stdout; `tokenize` returns a generator, so its output streams.
+
+`main` is also the one place that maps exceptions to exit codes: 0
+success; 1 an input error (missing file, invalid UTF-8, bad vocabulary or
+number, no tokens or lexical types, a failed statistic) with a one-line
+message, or for `run` a failed language row; 2 a usage error (option out
+of range, wrong number of `stats` inputs) or for `run` a config error.
 """
 
 from __future__ import annotations
@@ -15,28 +21,26 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from . import bigram as bigram_mod
 from . import morph_eval, stats
 from .bigram import MetricsError
-from .corpus import CorpusError, byte_premium, corpus_counts, read_lines, read_text
+from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
 from .pretokenize import DEFAULT_MARKER, pretokenize
-from .report import ConfigError, emit, load_config
+from .report import ComparisonReport, ConfigError, emit, load_config
 from .report import run as run_pipeline
-from .tokenizer import (
-    VocabularyError,
-    load_vocab,
-    segment_greedy,
-    segment_viterbi,
-    tokenize_corpus,
-)
-from .unigram import (
-    DEFAULT_MATTR_WINDOW,
-    DEFAULT_RENYI_ALPHA,
-    UnigramStats,
-    renyi_efficiency,
-)
+from .tokenizer import VocabularyError, load_vocab, segment_greedy, segment_viterbi, tokenize_corpus
+from .unigram import DEFAULT_MATTR_WINDOW, DEFAULT_RENYI_ALPHA, UnigramStats, renyi_efficiency
+
+
+class UsageError(Exception):
+    """A usage error that argparse cannot see: exit 2."""
+
+
+class RowsFailed(Exception):
+    """Some `run` rows failed: exit 1 after the whole report is written. The
+    message is one `<language>: <error>` line per failed row."""
 
 
 # input errors that end a command with a one-line message and exit 1
@@ -44,8 +48,8 @@ _INPUT_ERRORS = (CorpusError, VocabularyError, MetricsError, stats.StatsError,
                  morph_eval.MorphEvalError, OSError)
 
 
-def _error(message: str, code: int = 1) -> int:
-    print(f"morphlens: error: {message}", file=sys.stderr)
+def _error(message: str, code: int) -> int:
+    sys.stderr.write(message + "\n")
     return code
 
 
@@ -75,171 +79,61 @@ _nonnegative_float = _float_type(lambda v: 0 <= v < math.inf, "a finite number >
 _probability = _float_type(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
-def _write(path: Optional[str], lines: Iterable[str]) -> None:
-    """Write each line and a newline as it comes, to `path` or stdout."""
-    out = (line + "\n" for line in lines)
-    if path and path != "-":
-        with open(path, "w", encoding="utf-8") as f:
-            f.writelines(out)
-    else:
-        sys.stdout.writelines(out)
-
-
-def cmd_counts(args) -> int:
-    corpus = read_lines(args.path)
-    counts = corpus_counts(corpus, pretokenize if args.pretokenize else None)
-    print(f"ccc\t{counts.ccc}")
-    print(f"cbc\t{counts.cbc}")
-    print(f"cwc\t{counts.cwc}")
-    print(f"csc\t{counts.csc}")
-    return 0
-
-
-def cmd_byte_premium(args) -> int:
-    ratio = byte_premium(read_lines(args.target), read_lines(args.reference))
-    print(f"{ratio:.6f}")
-    return 0
-
-
-def cmd_tokenize(args) -> int:
+def _segmented(args, pretokenized: bool = True):
+    """The vocabulary and the lazily segmented corpus of a segmenting command."""
     vocab = load_vocab(args.vocab)
-    corpus = read_lines(args.corpus)
-    lines = tokenize_corpus(corpus, vocab, not args.no_pretokenize, args.greedy)
-    _write(args.out, (" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines))
-    return 0
+    return vocab, tokenize_corpus(read_lines(args.corpus), vocab, pretokenized, args.greedy)
 
 
-def _fmt(v: float, percent: bool) -> str:
-    return f"{v * 100:.4f}" if percent else f"{v:.4f}"
+def cmd_counts(args) -> List[str]:
+    counts = corpus_counts(read_lines(args.path), pretokenize if args.pretokenize else None)
+    return [f"{key}\t{getattr(counts, key)}" for key in ("ccc", "cbc", "cwc", "csc")]
 
 
-def cmd_bigram(args) -> int:
-    vocab = load_vocab(args.vocab)
-    tables = bigram_mod.BigramTables(
-        window=args.window, stride=args.stride, lifetime_eta=args.lifetime_eta
-    )
-    corpus = read_lines(args.corpus)
-    for _, spans in tokenize_corpus(corpus, vocab, not args.no_pretokenize, args.greedy):
+def cmd_byte_premium(args) -> List[str]:
+    return [f"{byte_premium(read_lines(args.target), read_lines(args.reference)):.6f}"]
+
+
+def cmd_tokenize(args) -> Iterator[str]:
+    _, lines = _segmented(args, not args.no_pretokenize)
+    return (" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines)
+
+
+def cmd_bigram(args) -> List[str]:
+    vocab, lines = _segmented(args, not args.no_pretokenize)
+    tables = bigram_mod.BigramTables(args.window, args.stride, args.lifetime_eta)
+    for _, spans in lines:
         for _, pieces in spans:
             tables.observe_span(pieces)
-    report = tables.finalize(
-        marker=vocab.boundary_marker or DEFAULT_MARKER,
-        full_windows_only=args.full_windows_only,
-    )
-    pct = args.percent
-    lines = [
-        "type\tf\tav_L\tav_R\tav_mean\tav_min\tau_mean\teta_mean\tbr_L\tbr_R\tretained"
-    ]
-    for t in report.types:
-        cells = [t.type, str(t.f)]
-        cells += [f"{v:.4f}" for v in (t.av_l, t.av_r, t.av_mean, t.av_min)]
-        cells += [_fmt(v, pct) for v in (t.au_mean, t.eta_mean, t.br_l, t.br_r)]
-        lines.append("\t".join(cells + ["1" if t.retained else "0"]))
-    if report.degenerate:
-        lines.append("# degenerate: every lexical type was filtered")
-    elif report.macro_av is None:
-        lines.append("# no retained type filled a window on both sides")
-    else:
-        lines.append(f"# macro_av\t{report.macro_av:.4f}")
-        lines.append(f"# macro_av_min\t{report.macro_av_min:.4f}")
-        lines.append(f"# macro_au\t{_fmt(report.macro_au, pct)}")
-        lines.append(f"# macro_eta\t{_fmt(report.macro_eta, pct)}")
-    lines.append(f"# lr\t{_fmt(report.lr, pct)}")
-    lines.append(f"# retained\t{report.retained_count}")
-    lines.append(f"# filtered\t{report.filtered_count}")
-    _write(args.out, lines)
-    return 0
+    report = tables.finalize(vocab.boundary_marker or DEFAULT_MARKER, args.full_windows_only)
+    return report.lines(args.percent)
 
 
-def cmd_unigram(args) -> int:
-    vocab = load_vocab(args.vocab)
+def cmd_unigram(args) -> List[str]:
+    _, lines = _segmented(args)  # always pretokenized: there is no --no-pretokenize
     unigrams = UnigramStats(args.mattr_window)
-    # always pretokenized: the command has no --no-pretokenize
-    for _, spans in tokenize_corpus(read_lines(args.corpus), vocab, greedy=args.greedy):
+    for _, spans in lines:
         for _, pieces in spans:
             unigrams.add(pieces)
     if not unigrams.tokens:
-        return _error("corpus produced no tokens")
-    lines = [
+        raise CorpusError("corpus produced no tokens")
+    return [
         f"ctc\t{unigrams.tokens}",
         f"mattr\t{unigrams.mattr():.6f}",
         f"mtl\t{unigrams.mtl():.6f}",
         f"renyi_efficiency\t{renyi_efficiency(unigrams.frequency(), args.alpha):.6f}",
     ]
-    _write(args.out, lines)
-    return 0
 
 
-def cmd_align(args) -> int:
+def cmd_align(args) -> List[str]:
     vocab = load_vocab(args.vocab)
     loaded = morph_eval.load_refs(args.refs)
     segment = segment_greedy if args.greedy else segment_viterbi
-
-    def segmenter(word: str):
-        return segment(word, vocab)
-
-    lines = [f"# refs\t{len(loaded.refs)}", f"# rejected\t{loaded.rejected}"]
-    mode = args.mode
-    if mode in ("full", "stem-suffix", "suffix-suffix"):
-        refs = loaded.refs
-        if mode != "full":
-            subsets = morph_eval.derive_subsets(refs)
-            refs = subsets.stem_suffix if mode == "stem-suffix" else subsets.suffix_suffix
-        if not refs:
-            return _error("no usable references for mode " + mode)
-        result = morph_eval.eval_full(segmenter, refs)
-        lines += [
-            f"precision\t{result.precision:.6f}",
-            f"recall\t{result.recall:.6f}",
-            f"f1\t{result.f1:.6f}",
-            f"tp\t{result.tp}",
-            f"pred_total\t{result.pred_total}",
-            f"ref_total\t{result.ref_total}",
-        ]
-    else:
-        ms_mode = (
-            morph_eval.EXCLUDE_VOCAB
-            if mode == "morphscore-exclude"
-            else morph_eval.CREDIT_VOCAB
-        )
-        subsets = morph_eval.derive_subsets(loaded.refs)
-        refs = subsets.stem_suffix or [
-            r for r in loaded.refs if len(r.boundaries()) == 1
-        ]
-        if not refs:
-            return _error("no single-boundary references available")
-        result = morph_eval.morphscore(segmenter, refs, vocab, ms_mode)
-        lines += [
-            f"recall\t{result.recall:.6f}",
-            f"precision\t{result.precision:.6f}",
-            f"f1\t{result.f1:.6f}",
-            f"n_evaluated\t{result.n_evaluated}",
-            f"n_skipped\t{result.n_skipped}",
-        ]
-    _write(args.out, lines)
-    return 0
-
-
-def _read_column(path: str) -> stats.Sample:
-    """The first comma-separated cell of every nonempty line, as finite
-    numbers; only the first line may be a non-numeric header."""
-    values = []
-    for lineno, line in enumerate(read_text(path, stats.StatsError).split("\n"), start=1):
-        cell = line.strip().split(",")[0]
-        if not cell:
-            continue
-        try:
-            value = float(cell)
-        except ValueError:
-            if lineno == 1:
-                continue  # header row
-            raise stats.StatsError(f"{path}:{lineno}: expected a number, got {cell!r}") from None
-        if not math.isfinite(value):
-            raise stats.StatsError(f"{path}:{lineno}: non-finite value {cell!r}")
-        values.append(value)
-    if not values:
-        raise stats.StatsError(f"{path}: no values")
-    return stats.Sample.of(values)
+    pairs = morph_eval.evaluate(args.mode, lambda word: segment(word, vocab), loaded, vocab)
+    return [f"# refs\t{len(loaded.refs)}", f"# rejected\t{loaded.rejected}"] + [
+        f"{name}\t{value:.6f}" if isinstance(value, float) else f"{name}\t{value}"
+        for name, value in pairs
+    ]
 
 
 _STATS_ARITY = {
@@ -251,11 +145,11 @@ _STATS_ARITY = {
 }
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> List[str]:
     n_files, message = _STATS_ARITY[args.test]
     if len(args.inputs) != n_files:
-        return _error(message, 2)
-    samples = [_read_column(p) for p in args.inputs]
+        raise UsageError(message)
+    samples = [stats.read_column(p) for p in args.inputs]
     alpha = args.alpha
     if args.test == "welch":
         payload = asdict(stats.welch_t_test(*samples, args.alternative, alpha))
@@ -271,27 +165,20 @@ def cmd_stats(args) -> int:
         payload = asdict(stats.duplication_effect(*samples, args.k, args.alternative))
     else:
         payload = asdict(stats.ols_simple(*samples))
-    _write(args.out, [json.dumps(payload, indent=2)])
-    return 0
+    return json.dumps(payload, indent=2).split("\n")
 
 
-def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (ConfigError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
+def cmd_run(args) -> Iterator[str]:
+    config = load_config(args.config)
     report = run_pipeline(config)
-    for row in report.rows:
-        if row.status != "ok":
-            print(f"{row.language}: {row.error}", file=sys.stderr)
-    data = emit(report, config.format, config.percent)
-    if args.out and args.out != "-":
-        with open(args.out, "wb") as f:
-            f.write(data)
-    else:
-        sys.stdout.buffer.write(data)
-    return 1 if report.failed else 0
+    return _then_failed_rows(report, emit(report, config.format, config.percent))
+
+
+def _then_failed_rows(report: ComparisonReport, lines: List[str]) -> Iterator[str]:
+    yield from lines
+    failed = [f"{row.language}: {row.error}" for row in report.rows if row.status != "ok"]
+    if failed:
+        raise RowsFailed("\n".join(failed))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,6 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
         "unigram/word metrics, morphological alignment, and sound comparisons.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="-", help="output file, UTF-8; '-' is stdout")
+    # the options of the commands that segment with a vocabulary
+    segmenting = argparse.ArgumentParser(add_help=False, parents=[output])
+    segmenting.add_argument("--vocab", required=True)
+    segmenting.add_argument("--greedy", action="store_true")
 
     p = sub.add_parser("counts", help="corpus size statistics")
     p.add_argument("path")
@@ -312,21 +205,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("reference")
     p.set_defaults(func=cmd_byte_premium)
 
-    p = sub.add_parser("tokenize", help="segment a corpus with a unigram-LM vocabulary")
+    p = sub.add_parser("tokenize", parents=[segmenting],
+                       help="segment a corpus with a unigram-LM vocabulary")
     p.add_argument("corpus")
-    p.add_argument("--vocab", required=True)
     p.add_argument("--no-pretokenize", action="store_true")
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_tokenize)
 
-    p = sub.add_parser("bigram", help="accessor-variety metrics report")
+    p = sub.add_parser("bigram", parents=[segmenting], help="accessor-variety metrics report")
     p.add_argument("corpus")
-    p.add_argument("--vocab", required=True)
     p.add_argument("--window", type=_positive_int, default=bigram_mod.DEFAULT_WINDOW)
     p.add_argument("--stride", type=_positive_int, default=1)
     p.add_argument("--no-pretokenize", action="store_true")
-    p.add_argument("--greedy", action="store_true")
     p.add_argument("--percent", action="store_true")
     p.add_argument(
         "--full-windows-only",
@@ -339,65 +228,69 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compute eta over lifetime accessor counts instead of windows",
     )
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bigram)
 
-    p = sub.add_parser("unigram", help="token-unigram metrics report")
+    p = sub.add_parser("unigram", parents=[segmenting], help="token-unigram metrics report")
     p.add_argument("corpus")
-    p.add_argument("--vocab", required=True)
     p.add_argument("--mattr-window", type=_positive_int, default=DEFAULT_MATTR_WINDOW)
     p.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_RENYI_ALPHA)
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_unigram)
 
-    p = sub.add_parser("align", help="morphological boundary evaluation")
+    p = sub.add_parser("align", parents=[segmenting], help="morphological boundary evaluation")
     p.add_argument("refs")
-    p.add_argument("--vocab", required=True)
-    p.add_argument(
-        "--mode",
-        choices=[
-            "full",
-            "morphscore-exclude",
-            "morphscore-credit",
-            "stem-suffix",
-            "suffix-suffix",
-        ],
-        default="full",
-    )
-    p.add_argument("--greedy", action="store_true")
-    p.add_argument("--out", default="-")
+    p.add_argument("--mode", choices=morph_eval.MODES, default="full")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("stats", help="hypothesis tests and regression")
-    p.add_argument("test", choices=["welch", "gap", "holm", "dup", "ols"])
+    p = sub.add_parser("stats", parents=[output], help="hypothesis tests and regression")
+    p.add_argument("test", choices=list(_STATS_ARITY))
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--alpha", type=_probability, default=0.05)
-    p.add_argument(
-        "--alternative",
-        choices=[stats.TWO_SIDED, stats.LESS, stats.GREATER],
-        default=stats.TWO_SIDED,
-    )
+    p.add_argument("--alternative", choices=[stats.TWO_SIDED, stats.LESS, stats.GREATER],
+                   default=stats.TWO_SIDED)
     p.add_argument("--k", type=_positive_int, default=3, help="duplication factor for dup")
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("run", help="multi-language comparison report")
+    p = sub.add_parser(
+        "run",
+        parents=[output],
+        help="multi-language comparison report",
+        description="Compare languages as an INI config describes them. Relative "
+        "corpus and vocab paths in the config resolve against the working "
+        "directory, not against the config file's directory.",
+    )
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_run)
 
     return parser
 
 
+def _write(path: Optional[str], lines: Iterable[str]) -> None:
+    """Write each line and a newline, UTF-8 encoded, as it comes: to `path`,
+    or to stdout when there is none or it is '-'."""
+    data = ((line + "\n").encode("utf-8") for line in lines)
+    if path and path != "-":
+        with open(path, "wb") as f:
+            f.writelines(data)
+    else:
+        sys.stdout.buffer.writelines(data)
+        sys.stdout.buffer.flush()  # a closed pipe then raises inside main's try
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _write(getattr(args, "out", None), args.func(args))
     except BrokenPipeError:  # an OSError, so it goes first
         return 0
+    except RowsFailed as e:
+        return _error(str(e), 1)
+    except ConfigError as e:
+        return _error(f"config error: {e}", 2)
+    except UsageError as e:
+        return _error(f"morphlens: error: {e}", 2)
     except _INPUT_ERRORS as e:
-        return _error(str(e))
+        return _error(f"morphlens: error: {e}", 1)
+    return 0
 
 
 if __name__ == "__main__":

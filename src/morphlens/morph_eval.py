@@ -10,7 +10,7 @@ with two treatments of words that are themselves vocabulary pieces.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from .corpus import read_text
@@ -215,3 +215,33 @@ def morphscore(
         n_evaluated=evaluated,
         n_skipped=skipped,
     )
+
+
+# `align` modes in `--mode` choice order; MorphScore modes map to their
+# treatment of in-vocabulary words
+_MORPHSCORE_MODES = {"morphscore-exclude": EXCLUDE_VOCAB, "morphscore-credit": CREDIT_VOCAB}
+MODES = ["full", *_MORPHSCORE_MODES, "stem-suffix", "suffix-suffix"]
+
+
+def evaluate(
+    mode: str, segmenter: Segmenter, loaded: RefLoadResult, vocab: Vocabulary
+) -> List[Tuple[str, Union[int, float]]]:
+    """Score `segmenter` in one of `MODES`, as ordered (name, value) pairs.
+    `full` scores every reference, `stem-suffix` and `suffix-suffix` the
+    `derive_subsets` sets; the MorphScore modes score the stem-suffix set,
+    or the two-morph references when it is empty."""
+    if mode not in MODES:
+        raise MorphEvalError(f"unknown mode {mode!r}")
+    subsets = derive_subsets(loaded.refs)
+    if mode in _MORPHSCORE_MODES:
+        refs = subsets.stem_suffix or [r for r in loaded.refs if len(r.boundaries()) == 1]
+        if not refs:
+            raise MorphEvalError("no single-boundary references available")
+        return list(asdict(morphscore(segmenter, refs, vocab, _MORPHSCORE_MODES[mode])).items())
+    refs = {"full": loaded.refs, "stem-suffix": subsets.stem_suffix,
+            "suffix-suffix": subsets.suffix_suffix}[mode]
+    if not refs:
+        raise MorphEvalError("no usable references for mode " + mode)
+    result = eval_full(segmenter, refs)
+    keys = ("precision", "recall", "f1", "tp", "pred_total", "ref_total")
+    return [(key, getattr(result, key)) for key in keys]

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Union
 
 from .bigram import DEFAULT_WINDOW, BigramReport, BigramTables
-from .corpus import Corpus, CorpusCounts, read_lines
+from .corpus import Corpus, CorpusCounts, read_lines, read_text
 from .pretokenize import DEFAULT_MARKER
 from .tokenizer import Vocabulary, load_vocab, tokenize_corpus
 from .unigram import (
@@ -84,28 +84,40 @@ class RunConfig:
         if self.format not in ("tsv", "csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         for lang in self.languages:
-            if not os.path.exists(lang.corpus):
-                raise ConfigError(f"{lang.name}: corpus not found: {lang.corpus}")
-            if not os.path.exists(lang.vocab):
-                raise ConfigError(f"{lang.name}: vocab not found: {lang.vocab}")
+            for key in ("corpus", "vocab"):
+                path = getattr(lang, key)
+                if not os.path.exists(path):
+                    raise ConfigError(
+                        f"{lang.name}: {key} not found: {path} "
+                        f"(relative paths resolve against the working directory, {os.getcwd()})"
+                    )
 
 
 _RUN_KEYS = {f.name for f in fields(RunConfig)} - {"languages"}
 
 
 def load_config(path: Union[str, os.PathLike]) -> RunConfig:
+    """Read and check a run config. Relative `corpus` and `vocab` paths are
+    resolved against the working directory, not the config's directory.
+    Every problem with the file, down to its INI syntax, is a `ConfigError`."""
+    try:
+        text = read_text(path, ConfigError)
+    except OSError:
+        raise ConfigError(f"cannot read config file {path!r}") from None
     parser = configparser.ConfigParser()
-    if not parser.read(path, encoding="utf-8"):
-        raise ConfigError(f"cannot read config file {path!r}")
-    run = parser["run"] if parser.has_section("run") else {}
+    try:
+        parser.read_string(text, source=os.fspath(path))
+        # dict() resolves every %-interpolation here
+        run = dict(parser["run"]) if parser.has_section("run") else {}
+        sections = {s: dict(parser[s]) for s in parser.sections() if s.startswith("language:")}
+    except configparser.Error as e:
+        # some configparser messages span lines
+        raise ConfigError(f"{os.fspath(path)}: {' '.join(str(e).split())}") from None
     unknown = sorted(set(run) - _RUN_KEYS)
     if unknown:
         raise ConfigError(f"[run]: unknown key(s) {', '.join(unknown)}")
     languages = []
-    for section in parser.sections():
-        if not section.startswith("language:"):
-            continue
-        entry = parser[section]
+    for section, entry in sections.items():
         name = section.split(":", 1)[1]
         if "corpus" not in entry or "vocab" not in entry:
             raise ConfigError(f"{section}: needs 'corpus' and 'vocab' keys")
@@ -286,9 +298,10 @@ def run(config: RunConfig) -> ComparisonReport:
     return ComparisonReport(rows=rows, sort_key=config.sort_by)
 
 
-def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -> bytes:
-    """Serialize a report: TSV/CSV with 4 decimal places, JSON at full
-    precision. Percent mode scales the ratio-valued columns by 100."""
+def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -> List[str]:
+    """Render a report as text lines, each without its newline: TSV/CSV with
+    4 decimal places, or indented JSON at full precision. Percent mode
+    scales the ratio-valued columns by 100."""
 
     def scaled(row: ReportRow) -> Dict[str, Optional[float]]:
         out = {}
@@ -311,7 +324,8 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
             }
             for row in rows
         ]
-        return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
+        # JSON escapes newlines inside strings, so "\n" splits only its layout
+        return json.dumps(payload, ensure_ascii=False, indent=2).split("\n")
     if format not in ("tsv", "csv"):
         raise ConfigError(f"unknown output format {format!r}")
     sep = "\t" if format == "tsv" else ","
@@ -329,4 +343,4 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
             else:
                 cells.append(f"{v:.4f}")
         lines.append(sep.join(cells))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return lines

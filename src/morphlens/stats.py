@@ -12,9 +12,12 @@ no silent one-sided/two-sided defaults.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
+
+from .corpus import read_text
 
 TWO_SIDED = "two-sided"
 LESS = "less"
@@ -27,6 +30,28 @@ _BETA_MAX_ITER = 500
 
 class StatsError(Exception):
     pass
+
+
+def read_column(path: Union[str, os.PathLike]) -> Sample:
+    """The first comma-separated cell of every nonempty line, as finite
+    numbers; only the first line may be a non-numeric header."""
+    values = []
+    for lineno, line in enumerate(read_text(path, StatsError).split("\n"), start=1):
+        cell = line.strip().split(",")[0]
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            if lineno == 1:
+                continue  # header row
+            raise StatsError(f"{path}:{lineno}: expected a number, got {cell!r}") from None
+        if not math.isfinite(value):
+            raise StatsError(f"{path}:{lineno}: non-finite value {cell!r}")
+        values.append(value)
+    if not values:
+        raise StatsError(f"{path}: no values")
+    return Sample.of(values)
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,116 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("window = 8\n", id="no-section-header"),
+        pytest.param("[run]\nwindow = 8\nwindow = 9\n", id="duplicate-run-key"),
+        pytest.param("[run]\nwindow = 8\n[run]\nstride = 2\n", id="duplicate-section"),
+        pytest.param("[run]\nwindow\n", id="key-without-equals"),
+        pytest.param("[run]\nsort_by = %(x)s\n", id="stray-interpolation"),
+    ],
+)
+def test_run_malformed_config_is_one_line_error(capsys, tmp_path, lang, text):
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"{text}[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n", encoding="utf-8"
+    )
+    code = main(["run", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error:")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert str(config) in captured.err  # names the file
+    assert captured.out == ""
+
+
+def test_run_resolves_relative_paths_against_working_directory(
+    capsys, tmp_path, lang, monkeypatch
+):
+    # the corpus and vocabulary sit next to the config, but the config's
+    # relative paths are read from the working directory
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[run]\nwindow = 8\nmattr_window = 10\n[language:L]\n"
+        f"corpus = {corpus.name}\nvocab = {vocab.name}\n",
+        encoding="utf-8",
+    )
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: L: corpus not found: {corpus.name} ")
+    assert str(elsewhere) in err
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(config)]) == 0
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tokenize", "mixed.txt", "--vocab", "mixed.tsv"],
+        ["bigram", "alpha.txt", "--vocab", "alpha.tsv"],
+        ["unigram", "alpha.txt", "--vocab", "alpha.tsv"],
+        ["align", "refs.tsv", "--vocab", "alpha.tsv"],
+        ["run", "--config", "run_tsv.ini"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_the_out_file_bytes_under_ascii_locale(tmp_path, argv):
+    # output is UTF-8 whatever the locale's encoding says
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+
+    def cli(*extra):
+        proc = subprocess.run(
+            [sys.executable, "-m", "morphlens.cli", *argv, *extra],
+            cwd=GOLDEN,
+            env=env,
+            capture_output=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        return proc.stdout
+
+    out_path = tmp_path / "out"
+    stdout = cli()
+    assert cli("--out", str(out_path)) == b""
+    assert stdout == out_path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["tokenize", "bigram", "run"])
+def test_early_input_error_leaves_out_file_untouched(capsys, tmp_path, lang, command):
+    # the vocabulary and the config are read before --out is opened
+    corpus, vocab = lang
+    bad_vocab = tmp_path / "bad.tsv"
+    bad_vocab.write_text("a\tnan\n", encoding="utf-8")
+    bad_config = tmp_path / "bad.ini"
+    bad_config.write_text(
+        f"[run]\nwindow = 0\n[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "out.txt"
+    out_path.write_bytes(b"earlier output\n")
+    argv = {
+        "tokenize": ["tokenize", str(corpus), "--vocab", str(bad_vocab)],
+        "bigram": ["bigram", str(corpus), "--vocab", str(bad_vocab)],
+        "run": ["run", "--config", str(bad_config)],
+    }[command]
+    code = main(argv + ["--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == (2 if command == "run" else 1)
+    assert captured.err.count("\n") == 1
+    assert out_path.read_bytes() == b"earlier output\n"
+
+
 def test_run_value_error_names_key_and_type(capsys, tmp_path, lang):
     corpus, vocab = lang
     config = tmp_path / "run.ini"

@@ -15,11 +15,10 @@ from pathlib import Path
 
 from morphlens.report import emit, load_config, run
 
-workdir = Path(tempfile.mkdtemp(prefix="morphlens_demo_"))
 rng = random.Random(0)
 
 
-def make_language(tag, stems, suffixes, n_suffixes):
+def make_language(workdir, tag, stems, suffixes, n_suffixes):
     corpus = workdir / f"{tag}.txt"
     vocab = workdir / f"{tag}.tsv"
     words = [
@@ -37,12 +36,16 @@ def make_language(tag, stems, suffixes, n_suffixes):
 
 
 stems = ["pelo", "kelo", "muta", "sora", "vani"]
-fus_c, fus_v = make_language("fusional", stems, ["ri", "ne", "ka"], 1)
-agg_c, agg_v = make_language("agglutinative", stems, ["ri", "ne", "ka", "tu", "lo", "se"], 3)
+with tempfile.TemporaryDirectory(prefix="morphlens_demo_") as tmp:
+    workdir = Path(tmp)
+    fus_c, fus_v = make_language(workdir, "fusional", stems, ["ri", "ne", "ka"], 1)
+    agg_c, agg_v = make_language(
+        workdir, "agglutinative", stems, ["ri", "ne", "ka", "tu", "lo", "se"], 3
+    )
 
-config_path = workdir / "run.ini"
-config_path.write_text(
-    f"""[run]
+    config_path = workdir / "run.ini"
+    config_path.write_text(
+        f"""[run]
 window = 100
 mattr_window = 200
 percent = true
@@ -58,9 +61,9 @@ corpus = {agg_c}
 vocab = {agg_v}
 grouping = AL
 """,
-    encoding="utf-8",
-)
+        encoding="utf-8",
+    )
 
-report = run(load_config(config_path))
-print("\n".join(emit(report, "tsv", percent=True)), end="\n\n")
+    report = run(load_config(config_path))
+    print("\n".join(emit(report, "tsv", percent=True)), end="\n\n")
 print("rows are sorted by eta; the suffix-stacking language scores higher")

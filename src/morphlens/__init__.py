@@ -27,6 +27,7 @@ from .morph_eval import (
 from .pretokenize import is_lexical, pretokenize
 from .report import RunConfig, analyze_language, emit, load_config, run
 from .tokenizer import (
+    Interner,
     Vocabulary,
     load_vocab,
     segment_greedy,

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import pairwise
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .pretokenize import DEFAULT_MARKER, is_lexical
+from .tokenizer import Interner
 
 DEFAULT_WINDOW = 1000
 
@@ -317,6 +319,12 @@ class BigramReport:
 class BigramTables:
     """Accumulates per-type left/right accessor statistics over token spans.
 
+    Spans arrive as type ids from `interner`, which may be shared with other
+    accumulators of the same pass: `observe_spans` takes one line's
+    `(text, ids)` spans, and `observe_span` interns one span's pieces first.
+    `type_ids` and `type_strings` are the interner's dict and list; a type
+    interned elsewhere but never observed here has frequency 0.
+
     Observed pairs are buffered per type and side and replayed into the
     windows in batches (`AccessorState.extend`); reading `left` or `right`,
     or finalizing, applies every pair observed so far.
@@ -330,6 +338,7 @@ class BigramTables:
         window: int = DEFAULT_WINDOW,
         stride: int = 1,
         lifetime_eta: bool = False,
+        interner: Optional[Interner] = None,
     ):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -338,8 +347,9 @@ class BigramTables:
         self.window = window
         self.stride = stride
         self.lifetime_eta = lifetime_eta
-        self.type_ids: Dict[str, int] = {}
-        self.type_strings: List[str] = []
+        self.interner = interner if interner is not None else Interner()
+        self.type_ids: Dict[str, int] = self.interner.ids
+        self.type_strings: List[str] = self.interner.strings
         self._left: List[AccessorState] = []
         self._right: List[AccessorState] = []
         # accessor ids observed but not yet replayed into the windows, per
@@ -364,42 +374,39 @@ class BigramTables:
         self._flush()
         return self._right
 
-    def _intern(self, piece: str) -> int:
-        tid = self.type_ids.get(piece)
-        if tid is None:
-            tid = len(self.type_strings)
-            self.type_ids[piece] = tid
-            self.type_strings.append(piece)
-            for states, pending in (
-                (self._left, self._pending_left),
-                (self._right, self._pending_right),
-            ):
-                states.append(AccessorState(self.window, self.stride, self.lifetime_eta))
-                pending.append([])
-        return tid
+    def _grow(self) -> None:
+        """Give every type the interner has handed out its states."""
+        new = len(self.type_strings) - len(self._left)
+        for states, pending in (
+            (self._left, self._pending_left),
+            (self._right, self._pending_right),
+        ):
+            states += [AccessorState(self.window, self.stride, self.lifetime_eta) for _ in range(new)]
+            pending += [[] for _ in range(new)]
 
     def observe_span(self, pieces: Sequence[str]) -> None:
-        """One word span: adjacent pairs feed both sides' windows; the first
-        and last token each tally one dummy."""
-        if not pieces:
-            return
-        type_ids = self.type_ids
-        try:
-            tids = [type_ids[p] for p in pieces]
-        except KeyError:
-            tids = [self._intern(p) for p in pieces]
-        self._left[tids[0]].dummies += 1
-        self._right[tids[-1]].dummies += 1
-        pairs = len(tids) - 1
-        if not pairs:
-            return
+        """One word span of pieces; see `observe_spans`."""
+        if pieces:
+            self.observe_spans([(None, self.interner.intern(pieces))])
+
+    def observe_spans(self, spans: Iterable[Tuple[object, Sequence[int]]]) -> None:
+        """The `(text, ids)` spans of one line, each a nonempty id sequence:
+        adjacent pairs feed both sides' windows; the first and last token of
+        a span each tally one dummy."""
+        if len(self._left) < len(self.type_strings):
+            self._grow()
+        left = self._left
+        right = self._right
         pending_left = self._pending_left
         pending_right = self._pending_right
-        prev = tids[0]
-        for cur in tids[1:]:
-            pending_right[prev].append(cur)
-            pending_left[cur].append(prev)
-            prev = cur
+        pairs = 0
+        for _, ids in spans:
+            left[ids[0]].dummies += 1
+            right[ids[-1]].dummies += 1
+            for prev, cur in pairwise(ids):
+                pending_right[prev].append(cur)
+                pending_left[cur].append(prev)
+            pairs += len(ids) - 1
         self.total_pairs += pairs
         self._pending += pairs
         if self._pending >= _FLUSH_PAIRS:
@@ -407,6 +414,8 @@ class BigramTables:
 
     def _flush(self) -> None:
         """Replay the pending accessors into their windows."""
+        if len(self._left) < len(self.type_strings):
+            self._grow()
         if not self._pending:
             return
         steps = self._steps

@@ -79,10 +79,11 @@ _nonnegative_float = _float_type(lambda v: 0 <= v < math.inf, "a finite number >
 _probability = _float_type(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
-def _segmented(args, pretokenized: bool = True):
-    """The vocabulary and the lazily segmented corpus of a segmenting command."""
+def _segmented(args, pretokenized: bool = True, **record):
+    """The vocabulary and the lazily segmented corpus of a segmenting command;
+    `record` is passed on to `tokenize_corpus`."""
     vocab = load_vocab(args.vocab)
-    return vocab, tokenize_corpus(read_lines(args.corpus), vocab, pretokenized, args.greedy)
+    return vocab, tokenize_corpus(read_lines(args.corpus), vocab, pretokenized, args.greedy, **record)
 
 
 def cmd_counts(args) -> List[str]:
@@ -100,21 +101,20 @@ def cmd_tokenize(args) -> Iterator[str]:
 
 
 def cmd_bigram(args) -> List[str]:
-    vocab, lines = _segmented(args, not args.no_pretokenize)
     tables = bigram_mod.BigramTables(args.window, args.stride, args.lifetime_eta)
+    vocab, lines = _segmented(args, not args.no_pretokenize, record=tables.interner.intern)
     for _, spans in lines:
-        for _, pieces in spans:
-            tables.observe_span(pieces)
+        tables.observe_spans(spans)
     report = tables.finalize(vocab.boundary_marker or DEFAULT_MARKER, args.full_windows_only)
     return report.lines(args.percent)
 
 
 def cmd_unigram(args) -> List[str]:
-    _, lines = _segmented(args)  # always pretokenized: there is no --no-pretokenize
     unigrams = UnigramStats(args.mattr_window)
+    # always pretokenized: there is no --no-pretokenize
+    _, lines = _segmented(args, record=unigrams.interner.intern)
     for _, spans in lines:
-        for _, pieces in spans:
-            unigrams.add(pieces)
+        unigrams.add_spans(spans, words=False)
     if not unigrams.tokens:
         raise CorpusError("corpus produced no tokens")
     return [

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Union
 from .bigram import DEFAULT_WINDOW, BigramReport, BigramTables
 from .corpus import Corpus, CorpusCounts, read_lines, read_text
 from .pretokenize import DEFAULT_MARKER
-from .tokenizer import Vocabulary, load_vocab, tokenize_corpus
+from .tokenizer import Interner, Vocabulary, load_vocab, tokenize_corpus
 from .unigram import (
     DEFAULT_MATTR_WINDOW,
     DEFAULT_RENYI_ALPHA,
@@ -111,8 +111,7 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         run = dict(parser["run"]) if parser.has_section("run") else {}
         sections = {s: dict(parser[s]) for s in parser.sections() if s.startswith("language:")}
     except configparser.Error as e:
-        # some configparser messages span lines
-        raise ConfigError(f"{os.fspath(path)}: {' '.join(str(e).split())}") from None
+        raise ConfigError(_syntax_message(os.fspath(path), e)) from None
     unknown = sorted(set(run) - _RUN_KEYS)
     if unknown:
         raise ConfigError(f"[run]: unknown key(s) {', '.join(unknown)}")
@@ -138,6 +137,21 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
     config = RunConfig(languages=languages, **settings)
     config.validate()
     return config
+
+
+def _syntax_message(where: str, e: configparser.Error) -> str:
+    """One `path:line: message` line for a configparser error, naming the
+    file once; errors without a line (bad interpolation) get `path: message`."""
+    if isinstance(e, configparser.DuplicateOptionError):
+        return f"{where}:{e.lineno}: option {e.option!r} in section {e.section!r} already exists"
+    if isinstance(e, configparser.DuplicateSectionError):
+        return f"{where}:{e.lineno}: section {e.section!r} already exists"
+    if isinstance(e, configparser.MissingSectionHeaderError):
+        return f"{where}:{e.lineno}: {e.line.strip()!r} is outside any [section]"
+    if isinstance(e, configparser.ParsingError):
+        return f"{where}:{e.errors[0][0]}: expected 'key = value' or a [section] header"
+    # some configparser messages span lines
+    return f"{where}: {' '.join(str(e).split())}"
 
 
 def _parse_run_value(key: str, raw: str, kind: type):
@@ -182,15 +196,16 @@ def analyze_language(
     greedy: bool = False,
 ) -> LanguageMetrics:
     """One streaming pass computing corpus counts, bigram tables, and the
-    unigram/word metric battery."""
-    tables = BigramTables(window=window, stride=stride)
-    unigrams = UnigramStats(mattr_window)
+    unigram/word metric battery. Both accumulators share one interner, so
+    each span arrives as type ids, recorded once per distinct pretoken."""
+    interner = Interner()
+    tables = BigramTables(window=window, stride=stride, interner=interner)
+    unigrams = UnigramStats(mattr_window, interner)
     counts = CorpusCounts()
-    for line, spans in tokenize_corpus(corpus, vocab, pretokenized, greedy):
+    for line, spans in tokenize_corpus(corpus, vocab, pretokenized, greedy, interner.intern):
         counts.add(line)
-        for text, pieces in spans:
-            tables.observe_span(pieces)
-            unigrams.add(pieces, text if pretokenized else None)
+        tables.observe_spans(spans)
+        unigrams.add_spans(spans, words=pretokenized)
 
     counts.cwc = unigrams.words
     counts.ctc = unigrams.tokens

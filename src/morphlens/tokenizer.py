@@ -1,6 +1,7 @@
 """Unigram-LM subword segmentation: vocabulary loading, Viterbi
-maximum-likelihood inference, a greedy longest-match baseline, and the one
-corpus-to-word-spans pipeline every metric is computed from.
+maximum-likelihood inference, a greedy longest-match baseline, the one
+corpus-to-word-spans pipeline every metric is computed from, and the
+`Interner` that gives the accumulators of one pass their shared token ids.
 
 Vocabulary files are UTF-8 TSV `piece<TAB>logprob` (natural log), the
 two-column export format of common unigram-LM tokenizer toolkits. Scores are
@@ -13,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .corpus import Corpus, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize
@@ -27,6 +28,8 @@ _UNK_SCORE = -1.0e6
 _SEGMENT_CACHE_MAX = 1 << 16
 
 DEFAULT_UNK = "<unk>"
+
+R = TypeVar("R")
 
 
 class VocabularyError(Exception):
@@ -242,19 +245,65 @@ def strip_marker(token: str, marker: Optional[str]) -> str:
     return token
 
 
+class Interner:
+    """Maps token strings to ids 0, 1, 2, ... in first-seen order.
+
+    `ids` is the string -> id dict and `strings` the id -> string list. Fed
+    the tokens of a corpus in order, the ids follow `Counter(tokens)` order,
+    so anything kept per id and read back in id order is in that order too.
+    """
+
+    __slots__ = ("ids", "strings")
+
+    def __init__(self) -> None:
+        self.ids: Dict[str, int] = {}
+        self.strings: List[str] = []
+
+    def intern(self, pieces: Sequence[str]) -> List[int]:
+        """The ids of `pieces`, handing out the next free id to each new one.
+
+        The result is a list, not a tuple: freed small tuples stay in the
+        interpreter's tuple free lists, so a freed cache of tuple records
+        raised the peak RSS of a two-language `run` by 0.7 MB."""
+        ids = self.ids
+        try:
+            return [ids[piece] for piece in pieces]
+        except KeyError:
+            pass
+        strings = self.strings
+        out = []
+        for piece in pieces:
+            tid = ids.get(piece)
+            if tid is None:
+                tid = ids[piece] = len(strings)
+                strings.append(piece)
+            out.append(tid)
+        return out
+
+
+def _pieces(pieces: List[str]) -> List[str]:
+    return pieces
+
+
 def tokenize_corpus(
     corpus: Corpus,
     vocab: Vocabulary,
     pretokenized: bool = True,
     greedy: bool = False,
-) -> Iterator[Tuple[str, List[Tuple[str, List[str]]]]]:
+    record: Callable[[List[str]], R] = _pieces,
+) -> Iterator[Tuple[str, List[Tuple[str, R]]]]:
     """Yield one `(line, spans)` pair per corpus line, where `spans` lists the
-    line's word spans in order as `(text, pieces)` pairs.
+    line's word spans in order as `(text, record(pieces))` pairs. `record`
+    defaults to returning the pieces list itself; the accumulators pass an
+    `Interner.intern`, so each span carries its type ids.
 
     Pretokenized mode gives one span per pretoken, segmented on its own
-    (bigram statistics then stay within words). Equal pretokens share one
-    cached pieces list per call, so callers must not mutate it; the cache
-    stops growing at a fixed number of distinct pretokens.
+    (bigram statistics then stay within words). Each distinct pretoken is
+    segmented and recorded once per call, and equal pretokens share that
+    cached record, so callers must not mutate it; the cache stops growing at
+    a fixed number of distinct pretokens (later ones are segmented and
+    recorded at every occurrence), and it is freed when the generator is
+    exhausted.
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
@@ -263,16 +312,16 @@ def tokenize_corpus(
     # module globals read at call time, so rebinding them takes effect
     segment = segment_greedy if greedy else segment_viterbi
     if pretokenized:
-        cache: Dict[str, List[str]] = {}
+        cache: Dict[str, R] = {}
         for line in corpus.lines():
             spans = []
             for pretoken in pretokenize(line):
-                pieces = cache.get(pretoken)
-                if pieces is None:
-                    pieces = segment(pretoken, vocab)
+                rec = cache.get(pretoken)
+                if rec is None:
+                    rec = record(segment(pretoken, vocab))
                     if len(cache) < _SEGMENT_CACHE_MAX:
-                        cache[pretoken] = pieces
-                spans.append((pretoken, pieces))
+                        cache[pretoken] = rec
+                spans.append((pretoken, rec))
             yield line, spans
     else:
         marker = vocab.boundary_marker
@@ -281,4 +330,4 @@ def tokenize_corpus(
                 yield line, []
                 continue
             text = line.replace(" ", marker) if marker else line
-            yield line, [(text, segment(text, vocab))]
+            yield line, [(text, record(segment(text, vocab)))]

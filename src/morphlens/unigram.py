@@ -6,9 +6,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import islice
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .pretokenize import DEFAULT_MARKER
+from .tokenizer import Interner
 
 DEFAULT_MATTR_WINDOW = 500
 DEFAULT_RENYI_ALPHA = 2.5
@@ -74,23 +76,35 @@ def renyi_efficiency(freq: FrequencyTable, alpha: float = DEFAULT_RENYI_ALPHA) -
 
 
 class UnigramStats:
-    """Token-unigram and word metrics of a corpus fed one word span at a
+    """Token-unigram and word metrics of a corpus fed one line of spans at a
     time, in memory that grows with the types and the MATTR window, not with
-    the tokens. Pieces are buffered and folded in batches, and reading a
-    metric folds everything added so far; every count and sum is the one a
-    single pass over the whole token list makes, so results are exact."""
+    the tokens.
 
-    def __init__(self, mattr_window: int = DEFAULT_MATTR_WINDOW):
+    Tokens are type ids from `interner`, which may be shared with other
+    accumulators of the same pass; `add_spans` takes one line's
+    `(text, ids)` spans, and `add` interns one span's pieces first. Ids are
+    buffered and folded in batches into per-id counts and an id-based MATTR
+    window, and reading a metric folds everything added so far and maps ids
+    back to strings. Every count and sum is the one a single pass over the
+    whole token list makes, in the same order, so results are exact.
+    """
+
+    def __init__(
+        self,
+        mattr_window: int = DEFAULT_MATTR_WINDOW,
+        interner: Optional[Interner] = None,
+    ):
         if mattr_window < 1:
             raise ValueError(f"window must be >= 1, got {mattr_window}")
         self.mattr_window = mattr_window
+        self.interner = interner if interner is not None else Interner()
         self.tokens = 0  # ctc
-        self._counts: Counter = Counter()  # first-seen order, as Counter(tokens)
-        self._pending: List[str] = []
-        # MATTR: the last `mattr_window` folded tokens, their type counts, the
-        # distinct types among them, and that count summed over full windows
-        self._tail: List[str] = []
-        self._window: Dict[str, int] = {}
+        self._counts: List[int] = []  # per type id
+        self._pending: List[int] = []
+        # MATTR: the last `mattr_window` folded ids, their counts per type id,
+        # the distinct types among them, and that count summed over full windows
+        self._tail: List[int] = []
+        self._window: List[int] = []
         self._distinct = self._distinct_sum = 0
         self.words = 0
         self._word_chars = 0
@@ -99,45 +113,68 @@ class UnigramStats:
     def add(self, pieces: Sequence[str], word: Optional[str] = None) -> None:
         """Add one span's pieces; `word`, when given, is the span's text and
         counts towards `mwl` and `s`."""
-        if word is not None:
-            if not word:
-                raise ValueError("words must be nonempty")
-            self.words += 1
-            self._word_chars += len(word)
-            self._s_sum += len(pieces) / len(word)
-        self.tokens += len(pieces)
-        self._pending += pieces
-        if len(self._pending) >= _FLUSH_TOKENS:
+        self.add_spans([(word, self.interner.intern(pieces))], words=word is not None)
+
+    def add_spans(self, spans: Iterable[Tuple[Optional[str], Sequence[int]]], words: bool) -> None:
+        """Add one line's `(text, ids)` spans. With `words`, each span's text
+        is a word that counts towards `mwl` and `s`."""
+        pending = self._pending
+        before = len(pending)
+        count = self.words
+        chars = self._word_chars
+        s_sum = self._s_sum
+        for text, ids in spans:
+            if words:
+                if not text:
+                    raise ValueError("words must be nonempty")
+                count += 1
+                chars += len(text)
+                s_sum += len(ids) / len(text)
+            pending += ids
+        self.words = count
+        self._word_chars = chars
+        self._s_sum = s_sum
+        self.tokens += len(pending) - before
+        if len(pending) >= _FLUSH_TOKENS:
             self._fold()
 
     def _fold(self) -> None:
-        """Apply the pending tokens to the type counts and the MATTR window."""
-        batch = self._pending
-        self._pending = []
-        self._counts.update(batch)
+        """Apply the pending ids to the type counts and the MATTR window."""
+        counts = self._counts
+        window = self._window
+        new = len(self.interner.strings) - len(counts)
+        if new > 0:
+            counts += [0] * new
+            window += [0] * new
         w = self.mattr_window
-        counts = self._window
         distinct = self._distinct
         total = self._distinct_sum
-        seq = self._tail + batch
         # the tail is shorter than w only before the first full window, when
         # positions in seq are positions in the corpus
-        for i in range(len(self._tail), len(seq)):
-            if i >= w:
-                out = seq[i - w]
-                c = counts[out]
-                if c == 1:
-                    del counts[out]
-                    distinct -= 1
-                else:
-                    counts[out] = c - 1
-            tok = seq[i]
-            c = counts.get(tok, 0)
-            counts[tok] = c + 1
+        seq = self._tail
+        start = len(seq)
+        seq += self._pending
+        self._pending = []
+        for tid in islice(seq, start, w):
+            counts[tid] += 1
+            c = window[tid]
+            window[tid] = c + 1
             if c == 0:
                 distinct += 1
-            if i >= w - 1:
-                total += distinct
+        if start < w <= len(seq):
+            total += distinct
+        # the id entering at position i >= w pushes out the one at i - w
+        for out, tid in zip(seq, islice(seq, w, None)):
+            counts[tid] += 1
+            c = window[out]
+            window[out] = c - 1
+            if c == 1:
+                distinct -= 1
+            c = window[tid]
+            window[tid] = c + 1
+            if c == 0:
+                distinct += 1
+            total += distinct
         self._tail = seq[-w:]
         self._distinct = distinct
         self._distinct_sum = total
@@ -148,8 +185,14 @@ class UnigramStats:
             raise ValueError("token sequence must be nonempty")
         return self.tokens
 
+    def _type_counts(self) -> Dict[str, int]:
+        """Counts of the types seen here, keyed by string, in id order."""
+        strings = self.interner.strings
+        return {strings[tid]: c for tid, c in enumerate(self._counts) if c}
+
     def frequency(self) -> FrequencyTable:
-        return FrequencyTable(counts=dict(self._counts), total=self._folded())
+        n = self._folded()
+        return FrequencyTable(counts=self._type_counts(), total=n)
 
     def mattr(self) -> float:
         """Moving-average TTR over windows of `mattr_window` tokens (stride
@@ -157,7 +200,7 @@ class UnigramStats:
         n = self._folded()
         w = self.mattr_window
         if n < w:
-            return len(self._counts) / n
+            return sum(1 for c in self._counts if c) / n
         return self._distinct_sum / (n - w + 1) / w
 
     def mtl(self, marker: str = DEFAULT_MARKER) -> float:
@@ -165,7 +208,7 @@ class UnigramStats:
         n = self._folded()
         chars = sum(
             c * (len(t) - (len(marker) if marker and t.startswith(marker) else 0))
-            for t, c in self._counts.items()
+            for t, c in self._type_counts().items()
         )
         return chars / n
 

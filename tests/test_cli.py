@@ -393,16 +393,16 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, where",
     [
-        pytest.param("window = 8\n", id="no-section-header"),
-        pytest.param("[run]\nwindow = 8\nwindow = 9\n", id="duplicate-run-key"),
-        pytest.param("[run]\nwindow = 8\n[run]\nstride = 2\n", id="duplicate-section"),
-        pytest.param("[run]\nwindow\n", id="key-without-equals"),
-        pytest.param("[run]\nsort_by = %(x)s\n", id="stray-interpolation"),
+        pytest.param("window = 8\n", ":1:", id="no-section-header"),
+        pytest.param("[run]\nwindow = 8\nwindow = 9\n", ":3:", id="duplicate-run-key"),
+        pytest.param("[run]\nwindow = 8\n[run]\nstride = 2\n", ":3:", id="duplicate-section"),
+        pytest.param("[run]\nwindow\n", ":2:", id="key-without-equals"),
+        pytest.param("[run]\nsort_by = %(x)s\n", ":", id="stray-interpolation"),
     ],
 )
-def test_run_malformed_config_is_one_line_error(capsys, tmp_path, lang, text):
+def test_run_malformed_config_is_one_line_error(capsys, tmp_path, lang, text, where):
     corpus, vocab = lang
     config = tmp_path / "run.ini"
     config.write_text(
@@ -414,7 +414,8 @@ def test_run_malformed_config_is_one_line_error(capsys, tmp_path, lang, text):
     assert captured.err.startswith("config error:")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
-    assert str(config) in captured.err  # names the file
+    assert captured.err.startswith(f"config error: {config}{where} ")  # path:line: message
+    assert captured.err.count(str(config)) == 1  # names the file once
     assert captured.out == ""
 
 

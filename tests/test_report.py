@@ -3,10 +3,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import morphlens
+from morphlens import tokenizer
+from morphlens.bigram import BigramTables
 from morphlens.report import (
     ComparisonReport,
     ConfigError,
@@ -19,7 +22,7 @@ from morphlens.report import (
     run,
 )
 from morphlens.corpus import Corpus
-from morphlens.tokenizer import Vocabulary
+from morphlens.tokenizer import Vocabulary, load_vocab, segment_viterbi
 
 
 CORPUS_A = "aba bab ca\nca aba aba\nbab ca aba\n" * 5
@@ -217,6 +220,79 @@ def test_analyze_language_memory_grows_with_types_not_tokens(tmp_path):
         assert proc.returncode == 0, proc.stderr
         peaks.append(int(proc.stdout) / 1024)  # kB to MB
     assert peaks[1] - peaks[0] < 3.0, peaks
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def distinct_words(n_words):
+    """Corpus text of n_words different words, 8 a line, all segmenting into
+    the few syllable pieces of the golden alpha vocabulary."""
+    syllables = [c + v for c in "bdgkmnrst" for v in "aeiou"]
+
+    def word(i):
+        out = "ke"
+        while True:
+            i, r = divmod(i, len(syllables))
+            out += syllables[r]
+            if not i:
+                return out
+
+    return "".join(
+        " ".join(word(i) for i in range(start, start + 8)) + "\n"
+        for start in range(0, n_words, 8)
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_analyze_language_memory_bounded_when_word_types_grow(tmp_path):
+    # 72,000 then 144,000 distinct pretokens, both past the record cache
+    # bound (65,536), over a few dozen token types: peak RSS stays flat;
+    # caching every pretoken adds ~15 MB on the larger corpus
+    vocab = os.path.join(GOLDEN, "alpha.tsv")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    peaks = []
+    for n_words in (72_000, 144_000):
+        corpus = tmp_path / f"corpus{n_words}.txt"
+        corpus.write_text(distinct_words(n_words), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, str(corpus), vocab],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout) / 1024)  # kB to MB
+    assert peaks[1] - peaks[0] < 3.0, peaks
+
+
+def test_record_cache_is_freed_before_finalize(monkeypatch):
+    # every block still allocated under `tokenize_corpus` when finalize
+    # starts: the cache of 5,000 pretoken records (0.8 MB) must be gone,
+    # leaving the interned types and the last line's spans (7 kB)
+    vocab = load_vocab(os.path.join(GOLDEN, "alpha.tsv"))
+    segment_viterbi("ke", vocab)  # the vocabulary's own tables, before tracing
+    corpus = Corpus.from_lines(distinct_words(5_000).splitlines())
+    held = []
+    finalize = BigramTables.finalize
+
+    def traced_finalize(self, *args, **kwargs):
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, tokenizer.__file__, all_frames=True)]
+        )
+        held.append(sum(trace.size for trace in snapshot.traces))
+        return finalize(self, *args, **kwargs)
+
+    monkeypatch.setattr(BigramTables, "finalize", traced_finalize)
+    tracemalloc.start(4)  # deep enough to reach `tokenize_corpus` from any allocation under it
+    try:
+        analyze_language(corpus, vocab)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1 and held[0] < 100_000, held
 
 
 def test_analyze_language_empty_corpus_errors():

@@ -116,13 +116,18 @@ class CorpusCounts:
 
 def read_text(path: Union[str, os.PathLike], error: Type[Exception]) -> str:
     """The whole file in one UTF-8 decode, with universal newlines ("\r\n"
-    and "\r" read as "\n"). Invalid UTF-8 raises `error` with the absolute
-    byte offset of the first bad byte."""
+    and "\r" read as "\n") and one leading byte order mark dropped. Invalid
+    UTF-8 raises `error` with the absolute byte offset of the first bad byte.
+
+    Corpora are read line by line elsewhere and keep a byte order mark, so
+    it counts towards their characters and bytes."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
     except UnicodeDecodeError as e:
+        # not "utf-8-sig": its offsets would not count the mark's 3 bytes
         raise error(f"{path}: invalid UTF-8 at byte offset {e.start}") from e
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def read_lines(path: Union[str, os.PathLike]) -> Corpus:

@@ -104,10 +104,10 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         text = read_text(path, ConfigError)
     except OSError:
         raise ConfigError(f"cannot read config file {path!r}") from None
-    parser = configparser.ConfigParser()
+    # values are literal: a "%" in a path is not an interpolation
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=os.fspath(path))
-        # dict() resolves every %-interpolation here
         run = dict(parser["run"]) if parser.has_section("run") else {}
         sections = {s: dict(parser[s]) for s in parser.sections() if s.startswith("language:")}
     except configparser.Error as e:
@@ -141,7 +141,7 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
 
 def _syntax_message(where: str, e: configparser.Error) -> str:
     """One `path:line: message` line for a configparser error, naming the
-    file once; errors without a line (bad interpolation) get `path: message`."""
+    file once; an error without a line gets `path: message`."""
     if isinstance(e, configparser.DuplicateOptionError):
         return f"{where}:{e.lineno}: option {e.option!r} in section {e.section!r} already exists"
     if isinstance(e, configparser.DuplicateSectionError):

@@ -31,6 +31,8 @@ DEFAULT_UNK = "<unk>"
 
 R = TypeVar("R")
 
+_Trie = Dict[str, Tuple["_Trie", Optional[float], Optional[str], str]]
+
 
 class VocabularyError(Exception):
     """Raised for malformed or inconsistent vocabulary files."""
@@ -42,12 +44,12 @@ class Vocabulary:
 
     `boundary_marker` is auto-detected on load: if any piece contains the
     marker character, segmentation prepends it to pretokens so third-party
-    vocabularies load unchanged.
+    vocabularies load unchanged. Empty pieces are rejected.
 
-    Segmentation reads a prefix table and a piece-to-own-string map built
-    from `pieces` once per instance, at the first segmentation, so `pieces`
-    must not be mutated after that. Returned pieces are the very string
-    objects held in `pieces` (or `unk_piece`).
+    Segmentation walks a piece trie built from `pieces` once per instance,
+    at the first segmentation, so `pieces` must not be mutated after that.
+    Returned pieces are the very string objects held in `pieces` (or
+    `unk_piece`).
     """
 
     pieces: Dict[str, float]
@@ -57,26 +59,45 @@ class Vocabulary:
     def __post_init__(self):
         if not self.pieces:
             raise VocabularyError("vocabulary is empty")
+        if "" in self.pieces:
+            raise VocabularyError("empty piece")
 
     @cached_property
-    def _prefix_table(self) -> Dict[str, Optional[float]]:
-        # every piece maps to its score, every other proper prefix of a
-        # piece to None; a string not in the table starts no piece
-        table: Dict[str, Optional[float]] = {}
-        for piece in self.pieces:
-            for k in range(1, len(piece)):
-                table[piece[:k]] = None
-        table.update(self.pieces)
-        return table
-
-    @cached_property
-    def _own_strings(self) -> Dict[str, str]:
-        # each piece (and the unknown piece) to this vocabulary's own string
-        # object, so segmentations and the caches holding them share the
-        # vocabulary's strings instead of keeping sliced copies
-        own = {piece: piece for piece in self.pieces}
-        own[self.unk_piece] = self.unk_piece
-        return own
+    def _trie(self) -> _Trie:
+        # A trie node maps a character to its entry (children, score, piece,
+        # tail). When a single piece lies below the character, `tail` is the
+        # rest of that piece, `score` and `piece` are that piece's, and
+        # `children` is one shared empty node. Otherwise `tail` is "", and
+        # `score` and `piece` are those of the piece ending at the character,
+        # or None when none does. `piece` is the key string of `pieces`.
+        pieces = self.pieces
+        ordered = sorted(pieces)
+        leaf: _Trie = {}
+        root: _Trie = {}
+        # (node, lo, hi, d): the pieces ordered[lo:hi] share their first d
+        # characters, are all longer than d, and go below `node`
+        stack = [(root, 0, len(ordered), 0)]
+        while stack:
+            node, lo, hi, d = stack.pop()
+            while lo < hi:
+                first = ordered[lo]
+                ch = first[d]
+                end = lo + 1
+                while end < hi and ordered[end][d] == ch:
+                    end += 1
+                if end - lo == 1:
+                    node[ch] = (leaf, pieces[first], first, first[d + 1 :])
+                else:
+                    children: _Trie = {}
+                    if len(first) == d + 1:
+                        # sorting puts the piece that ends here first
+                        node[ch] = (children, pieces[first], first, "")
+                        stack.append((children, lo + 1, end, d + 1))
+                    else:
+                        node[ch] = (children, None, None, "")
+                        stack.append((children, lo, end, d + 1))
+                lo = end
+        return root
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -134,16 +155,16 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     Ties break deterministically: highest score, then fewest tokens, then
     lexicographically smallest piece sequence.
 
-    A forward lattice walk: from each position it extends the substring only
-    while it is a prefix of some piece. The cost is one table probe per
-    vocabulary prefix that matches there, plus the probe that ends the
-    extension; there is no scan up to the longest piece length, and piece
-    sequences are rebuilt only on an exact (score, token count) tie.
+    A forward lattice walk: from each position it follows the vocabulary's
+    piece trie one character at a time, and a tail (the rest of the only
+    piece below a trie entry) with one `startswith`, so no candidate
+    substring is sliced. Piece sequences are rebuilt only on an exact
+    (score, token count) tie.
     """
     if not pretoken:
         raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
-    table = vocab._prefix_table
+    trie = vocab._trie
     unk = vocab.unk_piece
     n = len(text)
     # The best cover of text[:i] found so far scores score[i] with count[i]
@@ -157,6 +178,9 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     piece_at = [unk] * (n + 1)
     score[0] = 0.0
     count[0] = 0
+    # a character past Latin-1 is a new string, hashed anew, at each
+    # text[i]; the list makes one per position for all the walks reading it
+    chars = list(text)
     for j in range(n):
         base = score[j]
         c = count[j] + 1
@@ -171,11 +195,18 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
             count[i] = c
             back[i] = j
             piece_at[i] = unk
-        for i in range(j + 1, n + 1):
-            piece = text[j:i]
-            if piece not in table:
+        node = trie
+        i = j
+        while i < n:
+            ch = chars[i]
+            if ch not in node:
                 break
-            ps = table[piece]
+            node, ps, piece, tail = node[ch]
+            i += 1
+            if tail:
+                if not text.startswith(tail, i):
+                    break
+                i += len(tail)
             if ps is None:
                 continue
             s = base + ps
@@ -188,8 +219,7 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
                 count[i] = c
                 back[i] = j
                 piece_at[i] = piece
-    own = vocab._own_strings
-    return [own[piece] for piece in _path(back, piece_at, n)]
+    return _path(back, piece_at, n)
 
 
 def _path(back: List[int], piece_at: List[str], i: int) -> List[str]:
@@ -202,33 +232,37 @@ def _path(back: List[int], piece_at: List[str], i: int) -> List[str]:
 
 
 def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
-    """Longest-prefix-match left to right; unmatched characters map to the
-    unknown piece."""
+    """Longest-prefix-match left to right, along the same trie walk as
+    `segment_viterbi`; unmatched characters map to the unknown piece."""
     if not pretoken:
         raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
-    table = vocab._prefix_table
-    own = vocab._own_strings
+    trie = vocab._trie
     out: List[str] = []
     i = 0
     n = len(text)
     while i < n:
-        # the end of the longest piece starting at i, or i if none does
-        end = i
-        k = i + 1
-        while k <= n:
-            piece = text[i:k]
-            if piece not in table:
+        # the longest piece starting at i and its end, or one unknown character
+        longest = vocab.unk_piece
+        end = i + 1
+        node = trie
+        k = i
+        while k < n:
+            ch = text[k]
+            if ch not in node:
                 break
-            if table[piece] is not None:
-                end = k
+            node, ps, piece, tail = node[ch]
             k += 1
-        if end == i:
-            out.append(vocab.unk_piece)
-            i += 1
-        else:
-            out.append(own[text[i:end]])
-            i = end
+            if tail:
+                if text.startswith(tail, k):
+                    longest = piece
+                    end = k + len(tail)
+                break
+            if ps is not None:
+                longest = piece
+                end = k
+        out.append(longest)
+        i = end
     return out
 
 

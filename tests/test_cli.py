@@ -399,7 +399,6 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
         pytest.param("[run]\nwindow = 8\nwindow = 9\n", ":3:", id="duplicate-run-key"),
         pytest.param("[run]\nwindow = 8\n[run]\nstride = 2\n", ":3:", id="duplicate-section"),
         pytest.param("[run]\nwindow\n", ":2:", id="key-without-equals"),
-        pytest.param("[run]\nsort_by = %(x)s\n", ":", id="stray-interpolation"),
     ],
 )
 def test_run_malformed_config_is_one_line_error(capsys, tmp_path, lang, text, where):
@@ -417,6 +416,37 @@ def test_run_malformed_config_is_one_line_error(capsys, tmp_path, lang, text, wh
     assert captured.err.startswith(f"config error: {config}{where} ")  # path:line: message
     assert captured.err.count(str(config)) == 1  # names the file once
     assert captured.out == ""
+
+
+def test_run_config_values_are_literal(capsys, tmp_path, lang):
+    # no %-interpolation: a "%" in a path and a "%(name)s" are kept as written
+    corpus, vocab = lang
+    percent_corpus = tmp_path / "c50%.txt"
+    percent_corpus.write_bytes(corpus.read_bytes())
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[run]\nwindow = 8\nmattr_window = 10\nformat = json\n"
+        f"[language:L]\ncorpus = {percent_corpus}\nvocab = {vocab}\ngrouping = %(x)s\n",
+        encoding="utf-8",
+    )
+    code, out = run_cli(capsys, "run", "--config", str(config))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload[0]["status"] == "ok"
+    assert payload[0]["grouping"] == "%(x)s"
+
+
+def test_run_config_with_byte_order_mark(capsys, tmp_path, lang):
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_bytes(
+        b"\xef\xbb\xbf"
+        + f"[run]\nwindow = 8\nmattr_window = 10\n[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n".encode()
+    )
+    code, out = run_cli(capsys, "run", "--config", str(config))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert "\tok" in out
 
 
 def test_run_resolves_relative_paths_against_working_directory(

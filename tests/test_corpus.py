@@ -57,6 +57,20 @@ def test_read_text_offset_is_absolute(tmp_path):
         read_text(p, ValueError)
 
 
+def test_read_text_drops_byte_order_mark(tmp_path):
+    p = write(tmp_path, "c.txt", b"\xef\xbb\xbfab\n\xef\xbb\xbf")
+    assert read_text(p, CorpusError) == "ab\n\ufeff"  # only the leading one
+    # a corpus keeps it, so its characters and bytes are counted
+    assert list(read_lines(p)) == ["\ufeffab", "\ufeff"]
+    assert corpus_counts(read_lines(p)).cbc == 8
+
+
+def test_read_text_offset_counts_byte_order_mark(tmp_path):
+    p = write(tmp_path, "c.txt", b"\xef\xbb\xbfab\r\nc\xff")
+    with pytest.raises(ValueError, match=r"invalid UTF-8 at byte offset 8$"):
+        read_text(p, ValueError)
+
+
 def test_missing_file_fails_fast(tmp_path):
     with pytest.raises(CorpusError, match="not found"):
         read_lines(tmp_path / "nope.txt")

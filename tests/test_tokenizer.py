@@ -87,6 +87,19 @@ def test_empty_vocab_errors():
         Vocabulary(pieces={})
 
 
+def test_empty_piece_errors():
+    with pytest.raises(VocabularyError, match="empty piece"):
+        Vocabulary(pieces={"": -1.0, "a": -2.0})
+
+
+def test_load_drops_byte_order_mark(tmp_path):
+    p = tmp_path / "v.tsv"
+    p.write_bytes(b"\xef\xbb\xbfab\t-1\n")
+    vocab = load_vocab(p)
+    assert list(vocab.pieces) == ["ab"]
+    assert segment_viterbi("ab", vocab) == ["ab"]
+
+
 # --- Viterbi segmentation --------------------------------------------------
 
 
@@ -260,11 +273,58 @@ def test_viterbi_long_whole_line_matches_reference():
     assert segment_greedy(line, vocab) == reference_greedy(line, vocab)
 
 
-def test_prefix_table_is_built_at_first_segmentation():
+# Pieces nest (a word and some of its prefixes), so the trie has entries with
+# both a piece and children, and the longest of several words sharing a
+# prefix leaves a tail. Each text ends partway into a word, often inside its
+# tail, and "x" is in no piece.
+@st.composite
+def trie_cases(draw):
+    alphabet = draw(st.sampled_from(["ab", "abc"]))
+    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=7), min_size=1, max_size=6))
+    pieces = {}
+    for word in words:
+        for k in draw(st.sets(st.integers(1, len(word)))) | {len(word)}:
+            pieces[word[:k]] = draw(st.sampled_from([-1.0, -2.0, -3.0]))
+    word = draw(st.sampled_from(words))
+    text = draw(st.text(alphabet + "x", max_size=8)) + word[: draw(st.integers(0, len(word) - 1))]
+    return pieces, text or word
+
+
+@given(case=trie_cases())
+@settings(max_examples=500, deadline=None)
+def test_trie_walk_matches_reference(case):
+    pieces, text = case
+    vocab = Vocabulary(pieces=pieces)
+    assert segment_viterbi(text, vocab) == reference_viterbi(text, vocab)
+    assert segment_greedy(text, vocab) == reference_greedy(text, vocab)
+
+
+def test_trie_is_built_at_first_segmentation():
     vocab = vocab_of(ab=-1.0, abcd=-2.0)
-    assert "_prefix_table" not in vars(vocab)
-    segment_viterbi("ab", vocab)
-    assert vocab._prefix_table == {"a": None, "ab": -1.0, "abc": None, "abcd": -2.0}
+    assert "_trie" not in vars(vocab)
+    segment_greedy("ab", vocab)
+    assert "_trie" in vars(vocab)
+
+
+def test_trie_entries():
+    vocab = vocab_of(ab=-1.0, abcd=-2.0, b=-3.0, ba=-4.0)
+    trie = vocab._trie
+    # "c" has the single piece "abcd" below it: its entry keeps the tail "d"
+    assert trie == {
+        "a": ({"b": ({"c": ({}, -2.0, "abcd", "d")}, -1.0, "ab", "")}, None, None, ""),
+        "b": ({"a": ({}, -4.0, "ba", "")}, -3.0, "b", ""),
+    }
+    assert trie["a"][0]["b"][0]["c"][0] is trie["b"][0]["a"][0]
+    own = {id(piece) for piece in vocab.pieces}
+    assert id(trie["a"][0]["b"][0]["c"][2]) in own and id(trie["b"][2]) in own
+
+
+def test_nested_vocabulary_does_not_recurse():
+    # one trie level per character of the longest piece
+    k = 3000
+    vocab = Vocabulary(pieces={"a" * i: -1.0 for i in range(1, k + 1)})
+    assert segment_greedy("a" * (k + 1), vocab) == ["a" * k, "a"]
+    assert segment_viterbi("a" * k + "b", vocab) == ["a" * k, vocab.unk_piece]
 
 
 def test_pieces_are_the_vocabulary_strings():

@@ -432,10 +432,6 @@ class BigramTables:
                     pending[tid] = []
         self._pending = 0
 
-    def frequency(self, tid: int) -> int:
-        left = self.left[tid]
-        return left.ta + left.dummies
-
     def pools(self) -> Tuple[int, int]:
         """(pool_left, pool_right): the left pool is the number of types
         possessing a right accessor (types occurring as someone's left
@@ -453,8 +449,10 @@ class BigramTables:
         With full_windows_only, types whose accessor history never filled a
         window on one of the sides are excluded from the macro averages
         (they still appear per-type and still count toward LR)."""
-        observed = [tid for tid in range(len(self.type_strings)) if self.frequency(tid) > 0]
-        lexical = [tid for tid in observed if is_lexical(self.type_strings[tid], marker)]
+        self._flush()
+        left, right, strings = self._left, self._right, self.type_strings
+        observed = [tid for tid, ls in enumerate(left) if ls.ta + ls.dummies > 0]
+        lexical = [tid for tid in observed if is_lexical(strings[tid], marker)]
         if not lexical:
             raise MetricsError("no lexical types observed")
         pool_left, pool_right = self.pools()
@@ -463,7 +461,7 @@ class BigramTables:
         retained: List[TypeMetrics] = []
         filtered_count = 0
         for tid in lexical:
-            ls, rs = self.left[tid], self.right[tid]
+            ls, rs = left[tid], right[tid]
             br_l, br_r = ls.boundary_ratio(), rs.boundary_ratio()
             keep = min(br_l, br_r) < 0.95
             if self.lifetime_eta:
@@ -473,8 +471,8 @@ class BigramTables:
                 eta_l = ls.windowed_eta(pool_left) if pool_left else 0.0
                 eta_r = rs.windowed_eta(pool_right) if pool_right else 0.0
             tm = TypeMetrics(
-                type=self.type_strings[tid],
-                f=self.frequency(tid),
+                type=strings[tid],
+                f=ls.ta + ls.dummies,
                 av_l=ls.windowed_av(),
                 av_r=rs.windowed_av(),
                 au_l=ls.windowed_au(),

@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .corpus import Corpus, read_text
@@ -23,13 +24,14 @@ from .pretokenize import DEFAULT_MARKER, pretokenize
 # always beats one using more, regardless of real piece scores.
 _UNK_SCORE = -1.0e6
 
-# Pretokenized mode caches at most this many distinct pretokens per call, so
-# memory stays bounded when a corpus keeps bringing new word types.
+# `tokenize_corpus` caches at most this many distinct pretokens, or
+# whole-line chunks, per call, so memory stays bounded when a corpus keeps
+# bringing new word types.
 _SEGMENT_CACHE_MAX = 1 << 16
 
 DEFAULT_UNK = "<unk>"
 
-R = TypeVar("R")
+T = TypeVar("T")
 
 _Trie = Dict[str, Tuple["_Trie", Optional[float], Optional[str], str]]
 
@@ -98,6 +100,19 @@ class Vocabulary:
                         stack.append((children, lo, end, d + 1))
                 lo = end
         return root
+
+    @cached_property
+    def _cut_separator(self) -> Optional[str]:
+        # The separator is the boundary marker, or U+0020 without one. When
+        # no piece holds it after its first character, no piece covers a
+        # separator it does not start with, so every separator is a forced
+        # piece boundary and a line may be segmented chunk by chunk. None
+        # when some piece does, or when a longer marker could be covered
+        # in part.
+        sep = self.boundary_marker or " "
+        if len(sep) != 1 or any(piece.find(sep, 1) > 0 for piece in self.pieces):
+            return None
+        return sep
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -324,8 +339,8 @@ def tokenize_corpus(
     vocab: Vocabulary,
     pretokenized: bool = True,
     greedy: bool = False,
-    record: Callable[[List[str]], R] = _pieces,
-) -> Iterator[Tuple[str, List[Tuple[str, R]]]]:
+    record: Callable[[List[str]], List[T]] = _pieces,
+) -> Iterator[Tuple[str, List[Tuple[str, List[T]]]]]:
     """Yield one `(line, spans)` pair per corpus line, where `spans` lists the
     line's word spans in order as `(text, record(pieces))` pairs. `record`
     defaults to returning the pieces list itself; the accumulators pass an
@@ -341,27 +356,51 @@ def tokenize_corpus(
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
-    when the vocabulary uses one; an empty line has no spans.
+    when the vocabulary uses one; an empty line has no spans. Its record is
+    the concatenation of its chunks' records. When no piece holds the
+    separator (the marker, or U+0020 without one) after its first character,
+    no piece can cross a separator, so the marked line is cut before each
+    separator, and each distinct chunk is segmented and recorded once per
+    call, cached and bounded as in pretokenized mode. Otherwise the line is
+    one chunk, segmented uncached. A chunk's scores are summed from 0, not
+    from the line's score so far, so where two covers of a chunk tie or
+    nearly tie (the same pieces in another order, say), one `segment_viterbi`
+    call on the whole line can round them apart and pick the other one. With
+    exactly representable sums, such as integer scores, the two always
+    agree, and greedy segmentation always agrees with one call per line.
     """
     # module globals read at call time, so rebinding them takes effect
     segment = segment_greedy if greedy else segment_viterbi
-    if pretokenized:
-        cache: Dict[str, R] = {}
-        for line in corpus.lines():
-            spans = []
-            for pretoken in pretokenize(line):
-                rec = cache.get(pretoken)
-                if rec is None:
-                    rec = record(segment(pretoken, vocab))
-                    if len(cache) < _SEGMENT_CACHE_MAX:
-                        cache[pretoken] = rec
-                spans.append((pretoken, rec))
-            yield line, spans
-    else:
-        marker = vocab.boundary_marker
-        for line in corpus.lines():
-            if not line:
-                yield line, []
-                continue
+    marker = vocab.boundary_marker
+    # only whole-line mode cuts lines, so only it needs the cut rule (a scan
+    # of every piece)
+    sep = None if pretokenized else vocab._cut_separator
+    cache: Dict[str, List[T]] = {}
+    for line in corpus.lines():
+        # the cache keys of the line: its pretokens, or its chunks
+        if pretokenized:
+            keys = pretokenize(line)
+        elif not line:
+            yield line, []
+            continue
+        else:
             text = line.replace(" ", marker) if marker else line
-            yield line, [(text, record(segment(text, vocab)))]
+            if sep is None:
+                yield line, [(text, record(segment(text, vocab)))]
+                continue
+            head, *tails = _with_marker(text, vocab).split(sep)
+            keys = [sep + tail for tail in tails]
+            if head:
+                keys.insert(0, head)
+        spans = []
+        for key in keys:
+            rec = cache.get(key)
+            if rec is None:
+                rec = record(segment(key, vocab))
+                if len(cache) < _SEGMENT_CACHE_MAX:
+                    cache[key] = rec
+            spans.append((key, rec))
+        if pretokenized:
+            yield line, spans
+        else:
+            yield line, [(text, list(chain.from_iterable(rec for _, rec in spans)))]

@@ -269,10 +269,12 @@ def test_analyze_language_memory_bounded_when_word_types_grow(tmp_path):
     assert peaks[1] - peaks[0] < 3.0, peaks
 
 
-def test_record_cache_is_freed_before_finalize(monkeypatch):
+@pytest.mark.parametrize("pretokenized", [True, False], ids=["pretokenized", "wholeline"])
+def test_record_cache_is_freed_before_finalize(monkeypatch, pretokenized):
     # every block still allocated under `tokenize_corpus` when finalize
-    # starts: the cache of 5,000 pretoken records (0.8 MB) must be gone,
-    # leaving the interned types and the last line's spans (7 kB)
+    # starts: the cache of 5,000 pretoken (or whole-line chunk) records
+    # (0.8 MB) must be gone, leaving the interned types and the last line's
+    # spans (7 kB)
     vocab = load_vocab(os.path.join(GOLDEN, "alpha.tsv"))
     segment_viterbi("ke", vocab)  # the vocabulary's own tables, before tracing
     corpus = Corpus.from_lines(distinct_words(5_000).splitlines())
@@ -289,7 +291,7 @@ def test_record_cache_is_freed_before_finalize(monkeypatch):
     monkeypatch.setattr(BigramTables, "finalize", traced_finalize)
     tracemalloc.start(4)  # deep enough to reach `tokenize_corpus` from any allocation under it
     try:
-        analyze_language(corpus, vocab)
+        analyze_language(corpus, vocab, pretokenized=pretokenized)
     finally:
         tracemalloc.stop()
     assert len(held) == 1 and held[0] < 100_000, held

@@ -1,5 +1,7 @@
 import itertools
+import operator
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from morphlens import tokenizer
 from morphlens.corpus import Corpus
 from morphlens.tokenizer import (
     _UNK_SCORE,
+    Interner,
     Vocabulary,
     VocabularyError,
     _with_marker,
@@ -411,20 +414,30 @@ def test_tokenize_one_token_per_word():
     assert lines == [("a b", [("a", ["▁a"]), ("b", ["▁b"])])]
 
 
-def test_tokenize_segment_cache_is_bounded(monkeypatch):
+@pytest.mark.parametrize(
+    "pretokenized, records, calls",
+    [
+        # the first two pretokens are cached, "c" past the bound is segmented each time
+        (True, [["a"], ["b"], ["c"]], ["a", "b", "c", "c"]),
+        # a whole line is cut before each marker, and its chunks cached alike
+        (False, [["▁a", "▁b", "▁c"]], ["▁a", "▁b", "▁c", "▁c"]),
+    ],
+    ids=["pretokenized", "wholeline"],
+)
+def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, records, calls):
     monkeypatch.setattr(tokenizer, "_SEGMENT_CACHE_MAX", 2)
-    calls = []
+    seen = []
 
     def segment(pretoken, vocab):
-        calls.append(pretoken)
+        seen.append(pretoken)
         return [pretoken]
 
     monkeypatch.setattr(tokenizer, "segment_viterbi", segment)
     corpus = Corpus.from_lines(["a b c", "a b c"])
-    lines = list(tokenize_corpus(corpus, vocab_of(a=-1.0)))
-    assert [pieces for _, spans in lines for _, pieces in spans] == [["a"], ["b"], ["c"]] * 2
-    # the first two pretokens are cached, "c" past the bound is segmented each time
-    assert calls == ["a", "b", "c", "c"]
+    vocab = Vocabulary(pieces={"▁a": -1.0}, boundary_marker="▁")
+    lines = list(tokenize_corpus(corpus, vocab, pretokenized=pretokenized))
+    assert [pieces for _, spans in lines for _, pieces in spans] == records * 2
+    assert seen == calls
 
 
 def test_tokenize_empty_corpus():
@@ -449,6 +462,90 @@ def test_tokenize_non_pretokenized_marks_only_spaces():
     )
     # segmentation itself prepends the marker, as for any span
     assert lines == [("a a\ta", [("a▁a\ta", ["▁", "a", "▁", "a", "\t", "a"])])]
+
+
+# Whole-line mode cuts each line before every separator ("▁" with a marker,
+# " " without) when no piece holds one after its first character, and
+# segments each distinct chunk once. Each line must get the concatenation of
+# one call per chunk, and its tokens must reach the interner in the same
+# order. Half the vocabularies hold a piece with the separator inside, so
+# lines stay whole; "x" is in no piece. Decimal scores tie in real numbers
+# but not always in floats; integer scores sum exactly, so there the result
+# must also be what one call on the whole line gives.
+INTEGER_SCORES = [-1.0, -2.0, -3.0]
+
+
+@st.composite
+def wholeline_cases(draw):
+    marker = draw(st.booleans())
+    sep = "▁" if marker else " "
+    scores = st.sampled_from(draw(st.sampled_from([INTEGER_SCORES, [-0.1, -0.2, -10.0]])))
+    body = st.text("ab\t▁ ".replace(sep, ""), max_size=3)
+    piece = st.builds(operator.add, st.sampled_from(["", sep]), body).filter(bool)
+    pieces = draw(st.dictionaries(piece, scores, min_size=1, max_size=10))
+    if draw(st.booleans()):
+        pieces[draw(st.text("ab", min_size=1, max_size=2)) + sep + draw(body)] = draw(scores)
+    lines = draw(st.lists(st.text("abx \t▁", max_size=16), max_size=5))
+    return Vocabulary(pieces=pieces, boundary_marker="▁" if marker else None), lines
+
+
+def segment_by_chunks(text, vocab, segment):
+    sep = vocab.boundary_marker or " "
+    if any(sep in piece[1:] for piece in vocab.pieces):
+        return segment(text, vocab)
+    chunks = re.split(f"(?={sep})", _with_marker(text, vocab))
+    return [piece for chunk in chunks if chunk for piece in segment(chunk, vocab)]
+
+
+@given(case=wholeline_cases(), greedy=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_tokenize_wholeline_is_one_call_per_chunk(case, greedy):
+    vocab, lines = case
+    segment = segment_greedy if greedy else segment_viterbi
+    expected = Interner()
+    want = []
+    for line in filter(None, lines):
+        text = line.replace(" ", "▁") if vocab.boundary_marker else line
+        pieces = segment_by_chunks(text, vocab, segment)
+        if set(vocab.pieces.values()) <= set(INTEGER_SCORES):
+            assert pieces == segment(text, vocab)
+        want.append((line, [(text, expected.intern(pieces))]))
+    interner = Interner()
+    corpus = Corpus.from_lines(lines)
+    got = list(tokenize_corpus(corpus, vocab, False, greedy, interner.intern))
+    assert [line for line, _ in got] == lines
+    assert [(line, spans) for line, spans in got if line] == want
+    assert all(spans == [] for line, spans in got if not line)
+    assert interner.strings == expected.strings
+
+
+def test_tokenize_wholeline_scores_each_chunk_from_zero():
+    # in the chunk ▁ab, ▁a b and ▁ ab both score -10.2 and the tie-break
+    # picks ▁ ab; one call on the whole line adds them to ▁q's -0.1 first,
+    # where the two sums round apart
+    vocab = Vocabulary(
+        pieces={"▁q": -0.1, "▁a": -10.0, "b": -0.2, "▁": -0.2, "ab": -10.0}, boundary_marker="▁"
+    )
+    lines = list(tokenize_corpus(Corpus.from_lines(["q ab"]), vocab, pretokenized=False))
+    assert lines == [("q ab", [("q▁ab", ["▁q", "▁", "ab"])])]
+    assert segment_viterbi("q▁ab", vocab) == ["▁q", "▁a", "b"]
+
+
+@pytest.mark.parametrize(
+    "pieces, marker, line, span",
+    [
+        ({"▁": -1.0, "▁a": -1.0, "▁b": -1.0, "a▁b": -0.5}, "▁", "a b", ("a▁b", ["▁", "a▁b"])),
+        ({"a": -1.0, " b": -1.0, "a b": -0.5}, None, "a b", ("a b", ["a b"])),
+        ({"@": -1.0, "x@": -0.1, "@a": -0.1}, "@@", "x a", ("x@@a", ["@", "@", "x@", "@a"])),
+    ],
+    ids=["marker", "space", "long-marker"],
+)
+def test_tokenize_wholeline_piece_across_separator(pieces, marker, line, span):
+    # a piece covers (part of) a separator it does not start with, so the
+    # line is not cut there; cut, it would be ▁a ▁b, a " b", or @ @ <unk> @a
+    vocab = Vocabulary(pieces=pieces, boundary_marker=marker)
+    lines = list(tokenize_corpus(Corpus.from_lines([line]), vocab, pretokenized=False))
+    assert lines == [(line, [span])]
 
 
 def test_strip_marker():

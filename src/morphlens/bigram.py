@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .pretokenize import DEFAULT_MARKER, is_lexical
+from .pretokenize import is_lexical
 from .tokenizer import Interner
 
 DEFAULT_WINDOW = 1000
@@ -440,9 +440,7 @@ class BigramTables:
         pool_right = sum(1 for s in self.left if s.ta > 0)
         return pool_left, pool_right
 
-    def finalize(
-        self, marker: str = DEFAULT_MARKER, full_windows_only: bool = False
-    ) -> BigramReport:
+    def finalize(self, full_windows_only: bool = False) -> BigramReport:
         """Filter to lexical types, apply the boundary-ratio filter, and
         macro-average the windowed metrics over the retained set.
 
@@ -452,7 +450,7 @@ class BigramTables:
         self._flush()
         left, right, strings = self._left, self._right, self.type_strings
         observed = [tid for tid, ls in enumerate(left) if ls.ta + ls.dummies > 0]
-        lexical = [tid for tid in observed if is_lexical(strings[tid], marker)]
+        lexical = [tid for tid in observed if is_lexical(strings[tid])]
         if not lexical:
             raise MetricsError("no lexical types observed")
         pool_left, pool_right = self.pools()

@@ -27,7 +27,7 @@ from . import bigram as bigram_mod
 from . import morph_eval, stats
 from .bigram import MetricsError
 from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
-from .pretokenize import DEFAULT_MARKER, pretokenize
+from .pretokenize import pretokenize
 from .report import ComparisonReport, ConfigError, emit, load_config
 from .report import run as run_pipeline
 from .tokenizer import VocabularyError, load_vocab, segment_greedy, segment_viterbi, tokenize_corpus
@@ -80,10 +80,10 @@ _probability = _float_type(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _segmented(args, pretokenized: bool = True, **record):
-    """The vocabulary and the lazily segmented corpus of a segmenting command;
-    `record` is passed on to `tokenize_corpus`."""
+    """The lazily segmented corpus of a segmenting command; `record` is
+    passed on to `tokenize_corpus`."""
     vocab = load_vocab(args.vocab)
-    return vocab, tokenize_corpus(read_lines(args.corpus), vocab, pretokenized, args.greedy, **record)
+    return tokenize_corpus(read_lines(args.corpus), vocab, pretokenized, args.greedy, **record)
 
 
 def cmd_counts(args) -> List[str]:
@@ -96,23 +96,23 @@ def cmd_byte_premium(args) -> List[str]:
 
 
 def cmd_tokenize(args) -> Iterator[str]:
-    _, lines = _segmented(args, not args.no_pretokenize)
+    lines = _segmented(args, not args.no_pretokenize)
     return (" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines)
 
 
 def cmd_bigram(args) -> List[str]:
     tables = bigram_mod.BigramTables(args.window, args.stride, args.lifetime_eta)
-    vocab, lines = _segmented(args, not args.no_pretokenize, record=tables.interner.intern)
+    lines = _segmented(args, not args.no_pretokenize, record=tables.interner.intern)
     for _, spans in lines:
         tables.observe_spans(spans)
-    report = tables.finalize(vocab.boundary_marker or DEFAULT_MARKER, args.full_windows_only)
+    report = tables.finalize(args.full_windows_only)
     return report.lines(args.percent)
 
 
 def cmd_unigram(args) -> List[str]:
     unigrams = UnigramStats(args.mattr_window)
     # always pretokenized: there is no --no-pretokenize
-    _, lines = _segmented(args, record=unigrams.interner.intern)
+    lines = _segmented(args, record=unigrams.interner.intern)
     for _, spans in lines:
         unigrams.add_spans(spans, words=False)
     if not unigrams.tokens:

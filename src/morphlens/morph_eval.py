@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple, Union
 
 from .corpus import read_text
-from .pretokenize import DEFAULT_MARKER
 from .tokenizer import Vocabulary, strip_marker
 
 Segmenter = Callable[[str], Sequence[str]]
@@ -90,13 +89,11 @@ def load_refs(path: Union[str, os.PathLike]) -> RefLoadResult:
     return RefLoadResult(refs=refs, rejected=rejected)
 
 
-def predicted_boundaries(
-    tokens: Sequence[str], marker: Optional[str] = DEFAULT_MARKER
-) -> FrozenSet[int]:
+def predicted_boundaries(tokens: Sequence[str]) -> FrozenSet[int]:
     """Cumulative token-end offsets (markers stripped), word edges excluded."""
     out: Set[int] = set()
     pos = 0
-    stripped = [strip_marker(t, marker) for t in tokens]
+    stripped = [strip_marker(t) for t in tokens]
     total = sum(len(t) for t in stripped)
     for tok in stripped[:-1]:
         pos += len(tok)
@@ -109,11 +106,7 @@ def _word_counts(pred: FrozenSet[int], ref: FrozenSet[int]) -> AlignmentResult:
     return AlignmentResult(tp=len(pred & ref), pred_total=len(pred), ref_total=len(ref))
 
 
-def eval_full(
-    segmenter: Segmenter,
-    refs: Sequence[SegmentationRef],
-    marker: Optional[str] = DEFAULT_MARKER,
-) -> AlignmentResult:
+def eval_full(segmenter: Segmenter, refs: Sequence[SegmentationRef]) -> AlignmentResult:
     """Micro-averaged boundary precision/recall/F1 over all words.
 
     Words with several references (same surface, different segmentations)
@@ -126,7 +119,7 @@ def eval_full(
         by_word.setdefault(ref.word, []).append(ref)
     tp = pred_total = ref_total = 0
     for word, candidates in by_word.items():
-        pred = predicted_boundaries(segmenter(word), marker)
+        pred = predicted_boundaries(segmenter(word))
         best = max((_word_counts(pred, c.boundaries()) for c in candidates),
                    key=lambda r: r.f1)
         tp += best.tp
@@ -170,7 +163,6 @@ def morphscore(
     refs: Sequence[SegmentationRef],
     vocab: Vocabulary,
     mode: str = EXCLUDE_VOCAB,
-    marker: Optional[str] = DEFAULT_MARKER,
 ) -> MorphScoreResult:
     """Stem-suffix boundary evaluation in the two vocabulary modes: in-vocab
     words are either left untested (exclude_vocab) or always counted as
@@ -202,7 +194,7 @@ def morphscore(
             ref_total += 1
             continue
         evaluated += 1
-        pred = predicted_boundaries(segmenter(ref.word), marker)
+        pred = predicted_boundaries(segmenter(ref.word))
         counts = _word_counts(pred, bounds)
         tp += counts.tp
         pred_total += counts.pred_total

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Union
 
 from .bigram import DEFAULT_WINDOW, BigramReport, BigramTables
-from .corpus import Corpus, CorpusCounts, read_lines, read_text
-from .pretokenize import DEFAULT_MARKER
+from .corpus import Corpus, CorpusCounts, CorpusError, read_lines, read_text
 from .tokenizer import Interner, Vocabulary, load_vocab, tokenize_corpus
 from .unigram import (
     DEFAULT_MATTR_WINDOW,
@@ -210,13 +209,12 @@ def analyze_language(
     counts.cwc = unigrams.words
     counts.ctc = unigrams.tokens
     if not counts.ctc:
-        raise ConfigError("corpus produced no tokens")
-    marker = vocab.boundary_marker or DEFAULT_MARKER
+        raise CorpusError("corpus produced no tokens")
     return LanguageMetrics(
         counts=counts,
-        bigram=tables.finalize(marker=marker),
+        bigram=tables.finalize(),
         mattr=unigrams.mattr(),
-        mtl=unigrams.mtl(marker),
+        mtl=unigrams.mtl(),
         renyi=renyi_efficiency(unigrams.frequency(), alpha),
         s=unigrams.s(),
         mwl=unigrams.mwl(),

@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .corpus import Corpus, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize
@@ -44,9 +44,11 @@ class VocabularyError(Exception):
 class Vocabulary:
     """Immutable piece -> natural-log-probability table.
 
-    `boundary_marker` is auto-detected on load: if any piece contains the
-    marker character, segmentation prepends it to pretokens so third-party
-    vocabularies load unchanged. Empty pieces are rejected.
+    `boundary_marker` is `DEFAULT_MARKER` (U+2581) or None, and
+    `load_vocab` sets it when any piece contains that character;
+    segmentation then prepends it to pretokens, so third-party vocabularies
+    load unchanged. No other marker can be configured, and the unknown piece
+    is always `DEFAULT_UNK` (`<unk>`). Empty pieces are rejected.
 
     Segmentation walks a piece trie built from `pieces` once per instance,
     at the first segmentation, so `pieces` must not be mutated after that.
@@ -55,14 +57,18 @@ class Vocabulary:
     """
 
     pieces: Dict[str, float]
-    unk_piece: str = DEFAULT_UNK
     boundary_marker: Optional[str] = None
+    unk_piece: ClassVar[str] = DEFAULT_UNK
 
     def __post_init__(self):
         if not self.pieces:
             raise VocabularyError("vocabulary is empty")
         if "" in self.pieces:
             raise VocabularyError("empty piece")
+        if self.boundary_marker not in (None, DEFAULT_MARKER):
+            raise VocabularyError(
+                f"boundary marker must be {DEFAULT_MARKER!r} or None, got {self.boundary_marker!r}"
+            )
 
     @cached_property
     def _trie(self) -> _Trie:
@@ -107,10 +113,9 @@ class Vocabulary:
         # no piece holds it after its first character, no piece covers a
         # separator it does not start with, so every separator is a forced
         # piece boundary and a line may be segmented chunk by chunk. None
-        # when some piece does, or when a longer marker could be covered
-        # in part.
+        # when some piece does.
         sep = self.boundary_marker or " "
-        if len(sep) != 1 or any(piece.find(sep, 1) > 0 for piece in self.pieces):
+        if any(piece.find(sep, 1) > 0 for piece in self.pieces):
             return None
         return sep
 
@@ -121,16 +126,13 @@ class Vocabulary:
         return piece in self.pieces
 
 
-def load_vocab(
-    path: Union[str, os.PathLike],
-    unk_piece: str = DEFAULT_UNK,
-    marker: str = DEFAULT_MARKER,
-) -> Vocabulary:
-    """Load a TSV vocabulary. Duplicate pieces and non-numeric or non-finite
-    scores are errors, reported with their line number; invalid UTF-8 is an
-    error reported with its byte offset."""
+def load_vocab(path: Union[str, os.PathLike]) -> Vocabulary:
+    """Load a TSV vocabulary. Its boundary marker is `DEFAULT_MARKER` when
+    any piece contains that character, and None otherwise; the unknown piece
+    is `DEFAULT_UNK`. Duplicate pieces and non-numeric or non-finite scores
+    are errors, reported with their line number; invalid UTF-8 is an error
+    reported with its byte offset."""
     pieces: Dict[str, float] = {}
-    uses_marker = False
     text = read_text(path, VocabularyError)
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
@@ -154,13 +156,8 @@ def load_vocab(
         if not math.isfinite(score):
             raise VocabularyError(f"{path}:{lineno}: non-finite score {score_str!r}")
         pieces[piece] = score
-        if marker in piece:
-            uses_marker = True
-    return Vocabulary(
-        pieces=pieces,
-        unk_piece=unk_piece,
-        boundary_marker=marker if uses_marker else None,
-    )
+    uses_marker = any(DEFAULT_MARKER in piece for piece in pieces)
+    return Vocabulary(pieces=pieces, boundary_marker=DEFAULT_MARKER if uses_marker else None)
 
 
 def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
@@ -288,9 +285,9 @@ def _with_marker(pretoken: str, vocab: Vocabulary) -> str:
     return pretoken
 
 
-def strip_marker(token: str, marker: Optional[str]) -> str:
-    if marker and token.startswith(marker):
-        return token[len(marker) :]
+def strip_marker(token: str) -> str:
+    if token.startswith(DEFAULT_MARKER):
+        return token[1:]
     return token
 
 
@@ -344,7 +341,8 @@ def tokenize_corpus(
     """Yield one `(line, spans)` pair per corpus line, where `spans` lists the
     line's word spans in order as `(text, record(pieces))` pairs. `record`
     defaults to returning the pieces list itself; the accumulators pass an
-    `Interner.intern`, so each span carries its type ids.
+    `Interner.intern`, so each span carries its type ids. Characters no
+    piece covers become `<unk>` pieces, one per character.
 
     Pretokenized mode gives one span per pretoken, segmented on its own
     (bigram statistics then stay within words). Each distinct pretoken is
@@ -356,7 +354,7 @@ def tokenize_corpus(
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
-    when the vocabulary uses one; an empty line has no spans. Its record is
+    `▁` when the vocabulary uses it; an empty line has no spans. Its record is
     the concatenation of its chunks' records. When no piece holds the
     separator (the marker, or U+0020 without one) after its first character,
     no piece can cross a separator, so the marked line is cut before each

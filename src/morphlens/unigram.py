@@ -9,8 +9,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .pretokenize import DEFAULT_MARKER
-from .tokenizer import Interner
+from .tokenizer import Interner, strip_marker
 
 DEFAULT_MATTR_WINDOW = 500
 DEFAULT_RENYI_ALPHA = 2.5
@@ -45,11 +44,11 @@ def mattr(tokens: Sequence[str], window: int = DEFAULT_MATTR_WINDOW) -> float:
     return stats.mattr()
 
 
-def mtl(tokens: Iterable[str], marker: str = DEFAULT_MARKER) -> float:
+def mtl(tokens: Iterable[str]) -> float:
     """Micro-average characters per token, boundary markers stripped."""
     stats = UnigramStats()
     stats.add(list(tokens))
-    return stats.mtl(marker)
+    return stats.mtl()
 
 
 def renyi_efficiency(freq: FrequencyTable, alpha: float = DEFAULT_RENYI_ALPHA) -> float:
@@ -203,14 +202,10 @@ class UnigramStats:
             return sum(1 for c in self._counts if c) / n
         return self._distinct_sum / (n - w + 1) / w
 
-    def mtl(self, marker: str = DEFAULT_MARKER) -> float:
+    def mtl(self) -> float:
         """Micro-average characters per token, boundary markers stripped."""
         n = self._folded()
-        chars = sum(
-            c * (len(t) - (len(marker) if marker and t.startswith(marker) else 0))
-            for t, c in self._type_counts().items()
-        )
-        return chars / n
+        return sum(c * len(strip_marker(t)) for t, c in self._type_counts().items()) / n
 
     def mwl(self) -> float:
         """Macro-average characters per word; 0.0 when no word was added."""

@@ -343,6 +343,23 @@ def test_run_exit_codes(capsys, tmp_path, lang):
     assert err == "Broken: CorpusError: invalid UTF-8 at byte offset 0\n"
 
 
+def test_run_empty_corpus_row_is_corpus_error(capsys, tmp_path, lang):
+    corpus, vocab = lang
+    empty = tmp_path / "empty.txt"
+    empty.write_bytes(b"")
+    config = tmp_path / "empty.ini"
+    config.write_text(
+        f"[run]\nwindow = 8\nmattr_window = 10\n"
+        f"[language:Ok]\ncorpus = {corpus}\nvocab = {vocab}\n"
+        f"[language:Empty]\ncorpus = {empty}\nvocab = {vocab}\n",
+        encoding="utf-8",
+    )
+    code = main(["run", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "Empty: CorpusError: corpus produced no tokens\n"
+
+
 def test_run_writes_output_file(capsys, tmp_path, lang):
     corpus, vocab = lang
     config = tmp_path / "run.ini"

@@ -1,7 +1,8 @@
 """Byte-exact golden outputs of the CLI on small seeded inputs.
 
 The inputs in `tests/golden/` are an ASCII pretokenized corpus per language
-with a marker vocabulary that has an `<unk>` piece, a mixed-script corpus of
+with a marker vocabulary that has an `<unk>` piece, the first language's
+vocabulary without the marker (`plain.tsv`), a mixed-script corpus of
 long lines with its marker vocabulary, a reference segmentation
 file for `align` (with rejected entries, a word with two references and CRLF
 lines), numeric columns for `stats`, and one `run` config per output format.
@@ -110,6 +111,23 @@ CASES = {
     },
     "unigram_default": ["unigram", "alpha.txt", "--vocab", "alpha.tsv"],
     "unigram_w7": ["unigram", "alpha.txt", "--vocab", "alpha.tsv", "--mattr-window", "7"],
+    # a vocabulary without the boundary marker: the pieces of `alpha.tsv`
+    # with it removed, and a U+0020 piece, so whole-line mode cuts at spaces
+    "tokenize_plain_no_pretokenize": [
+        "tokenize",
+        "alpha.txt",
+        "--vocab",
+        "plain.tsv",
+        "--no-pretokenize",
+    ],
+    "bigram_plain_no_pretokenize": [
+        "bigram",
+        "alpha.txt",
+        "--vocab",
+        "plain.tsv",
+        "--no-pretokenize",
+    ],
+    "unigram_plain": ["unigram", "alpha.txt", "--vocab", "plain.tsv"],
     "run_tsv": ["run", "--config", "run_tsv.ini"],
     "run_csv": ["run", "--config", "run_csv.ini"],
     "run_json": ["run", "--config", "run_json.ini"],

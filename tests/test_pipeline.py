@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from morphlens import bigram, unigram
 from morphlens.bigram import AccessorState, MetricsError
-from morphlens.corpus import Corpus
+from morphlens.corpus import Corpus, CorpusError
 from morphlens.pretokenize import DEFAULT_MARKER, is_lexical, pretokenize
-from morphlens.report import ConfigError, analyze_language
+from morphlens.report import analyze_language
 from morphlens.tokenizer import Vocabulary, segment_greedy, segment_viterbi
 
 REL_TOL = 1e-9
@@ -100,7 +100,7 @@ def oracle(lines, vocab, window, stride, mattr_window, alpha, pretokenized, gree
                 left[b].push(a)
             tokens.extend(span)
     if not tokens:
-        return ConfigError
+        return CorpusError
     mark = marker or DEFAULT_MARKER
     lexical = [piece for piece in ids if is_lexical(piece, mark)]
     if not lexical:

@@ -21,7 +21,7 @@ from morphlens.report import (
     load_config,
     run,
 )
-from morphlens.corpus import Corpus
+from morphlens.corpus import Corpus, CorpusError
 from morphlens.tokenizer import Vocabulary, load_vocab, segment_viterbi
 
 
@@ -298,7 +298,7 @@ def test_record_cache_is_freed_before_finalize(monkeypatch, pretokenized):
 
 
 def test_analyze_language_empty_corpus_errors():
-    with pytest.raises(ConfigError, match="no tokens"):
+    with pytest.raises(CorpusError, match="no tokens"):
         analyze_language(Corpus.from_lines([]), vocab_of(a=-1.0))
 
 

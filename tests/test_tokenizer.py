@@ -95,6 +95,19 @@ def test_empty_piece_errors():
         Vocabulary(pieces={"": -1.0, "a": -2.0})
 
 
+@pytest.mark.parametrize("marker", ["@@", ""])
+def test_vocabulary_rejects_other_markers(marker):
+    # the boundary marker is ▁ or absent; no other can be configured
+    with pytest.raises(VocabularyError, match="boundary marker"):
+        Vocabulary(pieces={"a": -1.0}, boundary_marker=marker)
+
+
+def test_vocabulary_unk_piece_is_not_a_field():
+    assert Vocabulary(pieces={"a": -1.0}).unk_piece == "<unk>"
+    with pytest.raises(TypeError):
+        Vocabulary(pieces={"a": -1.0}, unk_piece="x")
+
+
 def test_load_drops_byte_order_mark(tmp_path):
     p = tmp_path / "v.tsv"
     p.write_bytes(b"\xef\xbb\xbfab\t-1\n")
@@ -536,19 +549,17 @@ def test_tokenize_wholeline_scores_each_chunk_from_zero():
     [
         ({"▁": -1.0, "▁a": -1.0, "▁b": -1.0, "a▁b": -0.5}, "▁", "a b", ("a▁b", ["▁", "a▁b"])),
         ({"a": -1.0, " b": -1.0, "a b": -0.5}, None, "a b", ("a b", ["a b"])),
-        ({"@": -1.0, "x@": -0.1, "@a": -0.1}, "@@", "x a", ("x@@a", ["@", "@", "x@", "@a"])),
     ],
-    ids=["marker", "space", "long-marker"],
+    ids=["marker", "space"],
 )
 def test_tokenize_wholeline_piece_across_separator(pieces, marker, line, span):
-    # a piece covers (part of) a separator it does not start with, so the
-    # line is not cut there; cut, it would be ▁a ▁b, a " b", or @ @ <unk> @a
+    # a piece covers a separator it does not start with, so the line is not
+    # cut there; cut, it would be ▁a ▁b, or a " b"
     vocab = Vocabulary(pieces=pieces, boundary_marker=marker)
     lines = list(tokenize_corpus(Corpus.from_lines([line]), vocab, pretokenized=False))
     assert lines == [(line, [span])]
 
 
 def test_strip_marker():
-    assert strip_marker("▁kirj", "▁") == "kirj"
-    assert strip_marker("kirj", "▁") == "kirj"
-    assert strip_marker("▁kirj", None) == "▁kirj"
+    assert strip_marker("▁kirj") == "kirj"
+    assert strip_marker("kirj") == "kirj"

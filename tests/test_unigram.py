@@ -283,7 +283,7 @@ def test_stats_stream_equals_brute_force(spans, window, flush):
     got = {
         "tokens": stats.tokens,
         "mattr": stats.mattr(),
-        "mtl": stats.mtl("▁"),
+        "mtl": stats.mtl(),
         "counts": list(stats.frequency().counts.items()),
         "mwl": stats.mwl(),
         "s": stats.s(),
@@ -305,7 +305,7 @@ def test_stats_read_mid_stream(spans, window, flush):
             if read and stats.tokens:
                 expected = reference_metrics(seen, window, "▁")
                 assert stats.mattr() == expected["mattr"]
-                assert stats.mtl("▁") == expected["mtl"]
+                assert stats.mtl() == expected["mtl"]
 
 
 def test_stats_match_public_wrappers():

@@ -28,6 +28,7 @@ from .pretokenize import is_lexical, pretokenize
 from .report import RunConfig, analyze_language, emit, load_config, run
 from .tokenizer import (
     Interner,
+    SpanBatch,
     Vocabulary,
     load_vocab,
     segment_greedy,

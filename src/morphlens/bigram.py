@@ -21,9 +21,11 @@ update in O(1) per element entering or leaving the window.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain, pairwise
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .pretokenize import is_lexical
 from .tokenizer import Interner
@@ -250,6 +252,36 @@ class AccessorState:
         return self.dummies / total if total else 0.0
 
 
+def _side_metrics(
+    states: List[AccessorState], pool: int, lifetime_eta: bool
+) -> List[Tuple[float, float, float, float]]:
+    """(AV, AU, eta, BR) of each state: `windowed_av`, `windowed_au`,
+    `windowed_eta` (or `lifetime_eta`) and `boundary_ratio` inlined, with the
+    same float operations in the same order. eta is 0 for an empty pool."""
+    log2 = math.log2
+    out = []
+    for st in states:
+        snapshots = st.snapshots
+        if snapshots:
+            av = st.av_sum / snapshots
+            au = av / st.capacity
+            h = st.h_sum / snapshots
+            n = st.capacity
+        else:
+            n = len(st.window)
+            av = float(st.distinct)
+            au = st.distinct / n if n else 0.0
+            h = max(0.0, log2(n) - st.entropy_acc / n) if n else 0.0
+        if lifetime_eta:
+            eta = st.lifetime_eta(pool) if pool else 0.0
+        else:
+            m = min(pool, n)
+            eta = min(1.0, h / log2(m)) if m > 1 else 0.0
+        total = st.ta + st.dummies
+        out.append((av, au, eta, st.dummies / total if total else 0.0))
+    return out
+
+
 @dataclass
 class TypeMetrics:
     type: str
@@ -320,8 +352,8 @@ class BigramTables:
     """Accumulates per-type left/right accessor statistics over token spans.
 
     Spans arrive as type ids from `interner`, which may be shared with other
-    accumulators of the same pass: `observe_spans` takes one line's
-    `(text, ids)` spans, and `observe_span` interns one span's pieces first.
+    accumulators of the same pass: `observe_spans` takes the id records of
+    a batch of spans, and `observe_span` interns one span's pieces first.
     `type_ids` and `type_strings` are the interner's dict and list; a type
     interned elsewhere but never observed here has frequency 0.
 
@@ -387,26 +419,26 @@ class BigramTables:
     def observe_span(self, pieces: Sequence[str]) -> None:
         """One word span of pieces; see `observe_spans`."""
         if pieces:
-            self.observe_spans([(None, self.interner.intern(pieces))])
+            self.observe_spans([self.interner.intern(pieces)])
 
-    def observe_spans(self, spans: Iterable[Tuple[object, Sequence[int]]]) -> None:
-        """The `(text, ids)` spans of one line, each a nonempty id sequence:
+    def observe_spans(self, records: Sequence[Sequence[int]]) -> None:
+        """The id sequences of word spans, each nonempty, in corpus order:
         adjacent pairs feed both sides' windows; the first and last token of
         a span each tally one dummy."""
         if len(self._left) < len(self.type_strings):
             self._grow()
         left = self._left
         right = self._right
+        for tid, n in Counter(map(itemgetter(0), records)).items():
+            left[tid].dummies += n
+        for tid, n in Counter(map(itemgetter(-1), records)).items():
+            right[tid].dummies += n
         pending_left = self._pending_left
         pending_right = self._pending_right
-        pairs = 0
-        for _, ids in spans:
-            left[ids[0]].dummies += 1
-            right[ids[-1]].dummies += 1
-            for prev, cur in pairwise(ids):
-                pending_right[prev].append(cur)
-                pending_left[cur].append(prev)
-            pairs += len(ids) - 1
+        for prev, cur in chain.from_iterable(map(pairwise, records)):
+            pending_right[prev].append(cur)
+            pending_left[cur].append(prev)
+        pairs = sum(map(len, records)) - len(records)
         self.total_pairs += pairs
         self._pending += pairs
         if self._pending >= _FLUSH_PAIRS:
@@ -458,23 +490,20 @@ class BigramTables:
         types: List[TypeMetrics] = []
         retained: List[TypeMetrics] = []
         filtered_count = 0
-        for tid in lexical:
+        sides = (
+            _side_metrics([left[tid] for tid in lexical], pool_left, self.lifetime_eta),
+            _side_metrics([right[tid] for tid in lexical], pool_right, self.lifetime_eta),
+        )
+        for tid, (av_l, au_l, eta_l, br_l), (av_r, au_r, eta_r, br_r) in zip(lexical, *sides):
             ls, rs = left[tid], right[tid]
-            br_l, br_r = ls.boundary_ratio(), rs.boundary_ratio()
             keep = min(br_l, br_r) < 0.95
-            if self.lifetime_eta:
-                eta_l = ls.lifetime_eta(pool_left) if pool_left else 0.0
-                eta_r = rs.lifetime_eta(pool_right) if pool_right else 0.0
-            else:
-                eta_l = ls.windowed_eta(pool_left) if pool_left else 0.0
-                eta_r = rs.windowed_eta(pool_right) if pool_right else 0.0
             tm = TypeMetrics(
                 type=strings[tid],
                 f=ls.ta + ls.dummies,
-                av_l=ls.windowed_av(),
-                av_r=rs.windowed_av(),
-                au_l=ls.windowed_au(),
-                au_r=rs.windowed_au(),
+                av_l=av_l,
+                av_r=av_r,
+                au_l=au_l,
+                au_r=au_r,
                 eta_l=eta_l,
                 eta_r=eta_r,
                 br_l=br_l,

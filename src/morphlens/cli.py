@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional
 
 from . import bigram as bigram_mod
@@ -30,7 +31,14 @@ from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
 from .pretokenize import pretokenize
 from .report import ComparisonReport, ConfigError, emit, load_config
 from .report import run as run_pipeline
-from .tokenizer import VocabularyError, load_vocab, segment_greedy, segment_viterbi, tokenize_corpus
+from .tokenizer import (
+    SpanBatch,
+    VocabularyError,
+    load_vocab,
+    segment_greedy,
+    segment_viterbi,
+    tokenize_corpus,
+)
 from .unigram import DEFAULT_MATTR_WINDOW, DEFAULT_RENYI_ALPHA, UnigramStats, renyi_efficiency
 
 
@@ -96,15 +104,21 @@ def cmd_byte_premium(args) -> List[str]:
 
 
 def cmd_tokenize(args) -> Iterator[str]:
-    lines = _segmented(args, not args.no_pretokenize)
-    return (" ".join(p for _, pieces in spans for p in pieces) for _, spans in lines)
+    return _joined(_segmented(args, not args.no_pretokenize))
+
+
+def _joined(batches: Iterable[SpanBatch]) -> Iterator[str]:
+    """Each corpus line's pieces, space-separated."""
+    for batch in batches:
+        records = iter(batch.records)
+        for n in batch.spans_per_line:
+            yield " ".join(chain.from_iterable(islice(records, n)))
 
 
 def cmd_bigram(args) -> List[str]:
     tables = bigram_mod.BigramTables(args.window, args.stride, args.lifetime_eta)
-    lines = _segmented(args, not args.no_pretokenize, record=tables.interner.intern)
-    for _, spans in lines:
-        tables.observe_spans(spans)
+    for batch in _segmented(args, not args.no_pretokenize, record=tables.interner.intern):
+        tables.observe_spans(batch.records)
     report = tables.finalize(args.full_windows_only)
     return report.lines(args.percent)
 
@@ -112,9 +126,8 @@ def cmd_bigram(args) -> List[str]:
 def cmd_unigram(args) -> List[str]:
     unigrams = UnigramStats(args.mattr_window)
     # always pretokenized: there is no --no-pretokenize
-    lines = _segmented(args, record=unigrams.interner.intern)
-    for _, spans in lines:
-        unigrams.add_spans(spans, words=False)
+    for batch in _segmented(args, record=unigrams.interner.intern):
+        unigrams.add_spans(batch.texts, batch.records, words=False)
     if not unigrams.tokens:
         raise CorpusError("corpus produced no tokens")
     return [

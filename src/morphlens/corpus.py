@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Type, Union
 
 
@@ -18,6 +19,9 @@ class CorpusError(Exception):
 
 
 _MASK64 = (1 << 64) - 1
+
+# Lines handed from the corpus to the accumulators at a time.
+BATCH_LINES = 256
 
 
 class SplitMix64:
@@ -73,6 +77,24 @@ def _iter_path(path: Union[str, os.PathLike]) -> Iterator[str]:
         raise CorpusError(f"cannot read corpus {path!r}: {e}") from e
 
 
+def line_batches(lines: Iterator[str]) -> Iterator[List[str]]:
+    """Consecutive lists of `BATCH_LINES` lines, the last one shorter. When
+    reading a line fails, the lines read before it are yielded first, then
+    its error is raised."""
+    while True:
+        batch: List[str] = []
+        try:
+            # when the iterator raises, extend keeps what it appended before
+            batch.extend(islice(lines, BATCH_LINES))
+        except CorpusError:
+            if batch:
+                yield batch
+            raise
+        if not batch:
+            return
+        yield batch
+
+
 @dataclass
 class Corpus:
     """A deterministic, re-iterable source of text lines.
@@ -107,11 +129,12 @@ class CorpusCounts:
     csc: int = 0  # lines
     ctc: Optional[int] = None  # tokens, present only after tokenization
 
-    def add(self, line: str) -> None:
-        """Count one line: csc, ccc and cbc."""
-        self.csc += 1
-        self.ccc += len(line)
-        self.cbc += len(line.encode("utf-8"))
+    def add(self, lines: List[str]) -> None:
+        """Count a batch of lines: csc, ccc and cbc."""
+        text = "".join(lines)
+        self.csc += len(lines)
+        self.ccc += len(text)
+        self.cbc += len(text.encode("utf-8"))
 
 
 def read_text(path: Union[str, os.PathLike], error: Type[Exception]) -> str:
@@ -167,10 +190,10 @@ def corpus_counts(
     `words` is a pretokenizer callable; without one, cwc stays 0.
     """
     counts = CorpusCounts()
-    for line in corpus.lines():
-        counts.add(line)
+    for lines in line_batches(corpus.lines()):
+        counts.add(lines)
         if words is not None:
-            counts.cwc += len(words(line))
+            counts.cwc += sum(map(len, map(words, lines)))
     return counts
 
 

@@ -7,8 +7,8 @@ pinned UCD version is `unicodedata.unidata_version` (documented in README).
 
 Every line is split by one compiled regular expression, `[P]+|[^\\sP]+`,
 whose punctuation class `P` is learned from the characters seen so far: it
-starts with ASCII, and a line holding characters not seen before has just
-those classified with `unicodedata` (the pattern is recompiled only when one
+starts with ASCII, and a batch of lines holding characters not seen before
+has just those classified with `unicodedata` (the pattern is recompiled only when one
 of them is punctuation). So each distinct character is classified once per
 process, and there is no Unicode table to keep in step with the UCD.
 """
@@ -53,15 +53,22 @@ def pretokenize(line: str) -> List[str]:
     run is emitted as its own pretoken. Concatenating the pretokens yields
     the line minus whitespace. "don't stop." -> [don, ', t, stop, .]
     """
-    if not line.isascii() and not _known.issuperset(line):
-        _learn(line)
-    return _pattern.findall(line)
+    return pretokenize_lines([line])[0]
 
 
-def _learn(line: str) -> None:
+def pretokenize_lines(lines: List[str]) -> List[List[str]]:
+    """`pretokenize` of each line, in order, checking the lines for new
+    characters once for all of them."""
+    text = "".join(lines)
+    if not text.isascii() and not _known.issuperset(text):
+        _learn(text)
+    return list(map(_pattern.findall, lines))
+
+
+def _learn(text: str) -> None:
     global _pattern, _punct
     with _lock:
-        new = set(line) - _known
+        new = set(text) - _known
         punct = "".join(filter(_is_punct, new))
         if punct:
             _punct += punct

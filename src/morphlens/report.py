@@ -201,10 +201,13 @@ def analyze_language(
     tables = BigramTables(window=window, stride=stride, interner=interner)
     unigrams = UnigramStats(mattr_window, interner)
     counts = CorpusCounts()
-    for line, spans in tokenize_corpus(corpus, vocab, pretokenized, greedy, interner.intern):
-        counts.add(line)
-        tables.observe_spans(spans)
-        unigrams.add_spans(spans, words=pretokenized)
+    for batch in tokenize_corpus(corpus, vocab, pretokenized, greedy, interner.intern):
+        counts.add(batch.lines)
+        tables.observe_spans(batch.records)
+        unigrams.add_spans(batch.texts, batch.records, words=pretokenized)
+    # the last batch's records, not only the exhausted generator's cache,
+    # must be free before finalize
+    batch = None
 
     counts.cwc = unigrams.words
     counts.ctc = unigrams.tokens

@@ -14,11 +14,11 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Callable, ClassVar, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
+from itertools import chain, islice
+from typing import Callable, ClassVar, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .corpus import Corpus, read_text
-from .pretokenize import DEFAULT_MARKER, pretokenize
+from .corpus import Corpus, line_batches, read_text
+from .pretokenize import DEFAULT_MARKER, pretokenize_lines
 
 # Each unknown character costs this much; any cover using fewer unknowns
 # always beats one using more, regardless of real piece scores.
@@ -331,26 +331,39 @@ def _pieces(pieces: List[str]) -> List[str]:
     return pieces
 
 
+class SpanBatch(NamedTuple):
+    """The word spans of consecutive corpus lines, in order: `lines[i]` has
+    the next `spans_per_line[i]` spans of `texts` and `records`."""
+
+    lines: List[str]
+    texts: List[str]
+    records: List[list]
+    spans_per_line: List[int]
+
+
 def tokenize_corpus(
     corpus: Corpus,
     vocab: Vocabulary,
     pretokenized: bool = True,
     greedy: bool = False,
     record: Callable[[List[str]], List[T]] = _pieces,
-) -> Iterator[Tuple[str, List[Tuple[str, List[T]]]]]:
-    """Yield one `(line, spans)` pair per corpus line, where `spans` lists the
-    line's word spans in order as `(text, record(pieces))` pairs. `record`
-    defaults to returning the pieces list itself; the accumulators pass an
-    `Interner.intern`, so each span carries its type ids. Characters no
-    piece covers become `<unk>` pieces, one per character.
+) -> Iterator[SpanBatch]:
+    """Yield the corpus as `SpanBatch`es of `corpus.BATCH_LINES` lines (the
+    last one shorter): the lines, flat lists of the texts and the records of
+    all their word spans, and how many spans each line has. A span's record
+    is `record(pieces)`, which defaults to the pieces list itself; the
+    accumulators pass an `Interner.intern`, so each span carries its type
+    ids. Characters no piece covers become `<unk>` pieces, one per
+    character. When a line fails to read, the batch of the lines before it
+    is yielded first, then the error is raised.
 
     Pretokenized mode gives one span per pretoken, segmented on its own
     (bigram statistics then stay within words). Each distinct pretoken is
-    segmented and recorded once per call, and equal pretokens share that
-    cached record, so callers must not mutate it; the cache stops growing at
-    a fixed number of distinct pretokens (later ones are segmented and
-    recorded at every occurrence), and it is freed when the generator is
-    exhausted.
+    segmented and recorded once per call, in corpus order, and equal
+    pretokens share that cached record, so callers must not mutate it; the
+    cache stops growing at a fixed number of distinct pretokens (later ones
+    are segmented and recorded at every occurrence), and it is freed when
+    the generator is exhausted.
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
@@ -374,31 +387,54 @@ def tokenize_corpus(
     # of every piece)
     sep = None if pretokenized else vocab._cut_separator
     cache: Dict[str, List[T]] = {}
-    for line in corpus.lines():
-        # the cache keys of the line: its pretokens, or its chunks
+
+    def make(key: str) -> List[T]:
+        return record(segment(key, vocab))
+
+    for lines in line_batches(corpus.lines()):
         if pretokenized:
-            keys = pretokenize(line)
-        elif not line:
-            yield line, []
+            pretokens = pretokenize_lines(lines)
+            texts = list(chain.from_iterable(pretokens))
+            yield SpanBatch(lines, texts, _records(texts, cache, make), list(map(len, pretokens)))
             continue
+        texts = [line.replace(" ", marker) if marker else line for line in lines if line]
+        if sep is None:
+            records = list(map(make, texts))
         else:
-            text = line.replace(" ", marker) if marker else line
-            if sep is None:
-                yield line, [(text, record(segment(text, vocab)))]
-                continue
-            head, *tails = _with_marker(text, vocab).split(sep)
-            keys = [sep + tail for tail in tails]
-            if head:
-                keys.insert(0, head)
-        spans = []
-        for key in keys:
-            rec = cache.get(key)
-            if rec is None:
-                rec = record(segment(key, vocab))
-                if len(cache) < _SEGMENT_CACHE_MAX:
-                    cache[key] = rec
-            spans.append((key, rec))
-        if pretokenized:
-            yield line, spans
-        else:
-            yield line, [(text, list(chain.from_iterable(rec for _, rec in spans)))]
+            # the cache keys are the lines' chunks, `chunks` of them per line
+            keys: List[str] = []
+            chunks = []
+            for text in texts:
+                head, *tails = _with_marker(text, vocab).split(sep)
+                start = len(keys)
+                if head:
+                    keys.append(head)
+                keys += [sep + tail for tail in tails]
+                chunks.append(len(keys) - start)
+            found = iter(_records(keys, cache, make))
+            records = [list(chain.from_iterable(islice(found, n))) for n in chunks]
+        yield SpanBatch(lines, texts, records, [1 if line else 0 for line in lines])
+
+
+def _records(
+    keys: List[str], cache: Dict[str, List[T]], make: Callable[[str], List[T]]
+) -> List[List[T]]:
+    """The records of `keys`, in order, from `cache`. Misses are made and
+    cached in key order, so records are made in the order one key at a time
+    would make them; the cache stops growing at `_SEGMENT_CACHE_MAX`."""
+    records = list(map(cache.get, keys))
+    i = 0
+    while True:
+        try:
+            i = records.index(None, i)
+        except ValueError:  # no miss left
+            return records
+        key = keys[i]
+        # an earlier miss among these keys may have cached it
+        rec = cache.get(key)
+        if rec is None:
+            rec = make(key)
+            if len(cache) < _SEGMENT_CACHE_MAX:
+                cache[key] = rec
+        records[i] = rec
+        i += 1

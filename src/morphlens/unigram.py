@@ -6,8 +6,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain, islice
+from operator import add, truediv
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .tokenizer import Interner, strip_marker
 
@@ -75,16 +77,16 @@ def renyi_efficiency(freq: FrequencyTable, alpha: float = DEFAULT_RENYI_ALPHA) -
 
 
 class UnigramStats:
-    """Token-unigram and word metrics of a corpus fed one line of spans at a
+    """Token-unigram and word metrics of a corpus fed a batch of spans at a
     time, in memory that grows with the types and the MATTR window, not with
     the tokens.
 
     Tokens are type ids from `interner`, which may be shared with other
-    accumulators of the same pass; `add_spans` takes one line's
-    `(text, ids)` spans, and `add` interns one span's pieces first. Ids are
-    buffered and folded in batches into per-id counts and an id-based MATTR
-    window, and reading a metric folds everything added so far and maps ids
-    back to strings. Every count and sum is the one a single pass over the
+    accumulators of the same pass; `add_spans` takes the texts and id
+    records of a batch of spans, and `add` interns one span's pieces first.
+    Ids are buffered and folded in batches into per-id counts and an id-based
+    MATTR window, and reading a metric folds everything added so far and
+    maps ids back to strings. Every count and sum is the one a single pass over the
     whole token list makes, in the same order, so results are exact.
     """
 
@@ -112,27 +114,25 @@ class UnigramStats:
     def add(self, pieces: Sequence[str], word: Optional[str] = None) -> None:
         """Add one span's pieces; `word`, when given, is the span's text and
         counts towards `mwl` and `s`."""
-        self.add_spans([(word, self.interner.intern(pieces))], words=word is not None)
+        self.add_spans([word], [self.interner.intern(pieces)], words=word is not None)
 
-    def add_spans(self, spans: Iterable[Tuple[Optional[str], Sequence[int]]], words: bool) -> None:
-        """Add one line's `(text, ids)` spans. With `words`, each span's text
-        is a word that counts towards `mwl` and `s`."""
+    def add_spans(
+        self, texts: Sequence[Optional[str]], records: Sequence[Sequence[int]], words: bool
+    ) -> None:
+        """Add the id records of a batch of spans, in corpus order, and their
+        texts. With `words`, each span's text is a word that counts towards
+        `mwl` and `s`."""
+        if words:
+            if not all(texts):
+                raise ValueError("words must be nonempty")
+            self.words += len(texts)
+            self._word_chars += sum(map(len, texts))
+            # plain left-to-right additions, as one span at a time makes
+            # them; sum() of floats compensates on Python 3.12 and later
+            self._s_sum = reduce(add, map(truediv, map(len, records), map(len, texts)), self._s_sum)
         pending = self._pending
         before = len(pending)
-        count = self.words
-        chars = self._word_chars
-        s_sum = self._s_sum
-        for text, ids in spans:
-            if words:
-                if not text:
-                    raise ValueError("words must be nonempty")
-                count += 1
-                chars += len(text)
-                s_sum += len(ids) / len(text)
-            pending += ids
-        self.words = count
-        self._word_chars = chars
-        self._s_sum = s_sum
+        pending += chain.from_iterable(records)
         self.tokens += len(pending) - before
         if len(pending) >= _FLUSH_TOKENS:
             self._fold()

@@ -15,6 +15,7 @@ from morphlens.bigram import (
     MetricsError,
     entropy_steps,
 )
+from morphlens.pretokenize import is_lexical
 
 
 def state_with(accessors, capacity=1000, stride=1):
@@ -452,6 +453,44 @@ def test_tables_past_the_flush_threshold_equal_unbatched():
     report = t.finalize()
     ids, left, right = replay(spans, window=50)
     assert [tm.av_l for tm in report.types] == [left[ids[tm.type]].windowed_av() for tm in report.types]
+
+
+@given(
+    spans=st.lists(st.lists(st.sampled_from("abcde.7"), min_size=1, max_size=6), min_size=1, max_size=60),
+    batch=st.integers(1, 20),
+    window=st.integers(1, 8),
+    stride=st.integers(1, 3),
+    lifetime=st.booleans(),
+    full=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, stride, lifetime, full):
+    # batches of id records give the tables of one push per pair, and
+    # finalize's per-type values are exactly those of the state methods
+    t = BigramTables(window=window, stride=stride, lifetime_eta=lifetime)
+    records = [t.interner.intern(span) for span in spans]
+    for i in range(0, len(records), batch):
+        t.observe_spans(records[i : i + batch])
+    assert_tables_equal(t, spans, window=window, stride=stride, lifetime=lifetime)
+    if not any(is_lexical(piece) for piece in t.type_strings):
+        with pytest.raises(MetricsError):
+            t.finalize(full)
+        return
+    report = t.finalize(full)
+    ids, left, right = replay(spans, window, stride, lifetime)
+    pools = (sum(1 for s in right if s.ta > 0), sum(1 for s in left if s.ta > 0))
+
+    def eta(state, pool):
+        if not pool:
+            return 0.0
+        return state.lifetime_eta(pool) if lifetime else state.windowed_eta(pool)
+
+    for tm in report.types:
+        ls, rs = left[ids[tm.type]], right[ids[tm.type]]
+        assert (tm.av_l, tm.av_r, tm.au_l, tm.au_r, tm.eta_l, tm.eta_r, tm.br_l, tm.br_r) == (
+            ls.windowed_av(), rs.windowed_av(), ls.windowed_au(), rs.windowed_au(),
+            eta(ls, pools[0]), eta(rs, pools[1]), ls.boundary_ratio(), rs.boundary_ratio(),
+        )
 
 
 # --- c*log2(c) under threads -----------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import morphlens
 from morphlens.cli import main
-from morphlens.corpus import read_lines
+from morphlens.corpus import BATCH_LINES, read_lines
 from morphlens.report import analyze_language
 from morphlens.tokenizer import load_vocab
 
@@ -83,6 +83,32 @@ def test_tokenize_input_error_after_valid_lines(capsys, tmp_path, lang, to_file)
     assert captured.err == f"morphlens: error: invalid UTF-8 at byte offset {offset}\n"
     out = out_path.read_text(encoding="utf-8") if to_file else captured.out
     assert out == expected
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+def test_input_error_after_more_than_one_batch(capsys, tmp_path, lang, to_file):
+    # the bad byte ends the second batch of lines early: tokenize still
+    # writes every line before it, and bigram writes nothing but its error
+    _, vocab = lang
+    valid = CORPUS * 20
+    assert BATCH_LINES < valid.count("\n") < 2 * BATCH_LINES
+    good = tmp_path / "good.txt"
+    good.write_text(valid, encoding="utf-8")
+    _, expected = run_cli(capsys, "tokenize", str(good), "--vocab", str(vocab))
+    assert expected.count("\n") == valid.count("\n")
+    corpus = tmp_path / "late.txt"
+    corpus.write_bytes(valid.encode("utf-8") + b"ab\xff\n")
+    message = f"morphlens: error: invalid UTF-8 at byte offset {len(valid) + 2}\n"
+    out_path = tmp_path / "out.txt"
+    out_args = ["--out", str(out_path)] if to_file else []
+    code = main(["tokenize", str(corpus), "--vocab", str(vocab)] + out_args)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, message)
+    out = out_path.read_text(encoding="utf-8") if to_file else captured.out
+    assert out == expected
+    code = main(["bigram", str(corpus), "--vocab", str(vocab)] + out_args)
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (1, message, "")
 
 
 # VmHWM is the peak RSS of this process image only; ru_maxrss would also

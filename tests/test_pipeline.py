@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from morphlens import bigram, unigram
 from morphlens.bigram import AccessorState, MetricsError
-from morphlens.corpus import Corpus, CorpusError
+from morphlens.corpus import BATCH_LINES, Corpus, CorpusError
 from morphlens.pretokenize import DEFAULT_MARKER, is_lexical, pretokenize
 from morphlens.report import analyze_language
 from morphlens.tokenizer import Vocabulary, segment_greedy, segment_viterbi
@@ -287,3 +287,34 @@ def test_oracle_sees_repeats_unk_and_both_modes():
         want = oracle(corpus, vocab, **s)
         assert "<unk>" in [r["type"] for r in want["rows"]]
         assert_matches(observed(analyze_language(Corpus.from_lines(corpus), vocab, **s)), want)
+
+
+# Corpora one short of, at and one past a batch of lines, and into a third
+# batch. Small flush thresholds replay pairs and fold tokens across batch
+# boundaries.
+B = BATCH_LINES
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 2 * B + 3])
+@pytest.mark.parametrize("pretokenized", [True, False], ids=["pretokenized", "wholeline"])
+@pytest.mark.parametrize("greedy", [False, True], ids=["viterbi", "greedy"])
+@pytest.mark.parametrize("flush", [7, 1 << 15], ids=["small-flush", "default-flush"])
+def test_analyze_language_across_batch_boundaries(
+    boundary_lines, fresh_pretokenizer, n, pretokenized, greedy, flush
+):
+    vocab = Vocabulary(
+        pieces={"▁ab": -2.0, "▁a": -2.5, "b": -1.0, "c": -1.5, "a": -1.0, "▁": -3.0, "▁c": -2.0, "ca": -2.0},
+        boundary_marker="▁",
+    )
+    lines = boundary_lines(n)
+    s = dict(window=5, stride=2, mattr_window=7, alpha=2.5, pretokenized=pretokenized, greedy=greedy)
+    want = oracle(lines, vocab, **s)
+    fresh_pretokenizer()  # the oracle has learned "¡" and "‽"
+    with mock.patch.object(bigram, "_FLUSH_PAIRS", flush), mock.patch.object(unigram, "_FLUSH_TOKENS", flush):
+        if n == 0:
+            assert want is CorpusError
+            with pytest.raises(CorpusError):
+                analyze_language(Corpus.from_lines(lines), vocab, **s)
+            return
+        got = observed(analyze_language(Corpus.from_lines(lines), vocab, **s))
+    assert_matches(got, want)

@@ -8,11 +8,11 @@ from pathlib import Path
 from typing import List
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import morphlens
-from morphlens.pretokenize import is_lexical, pretokenize
+from morphlens.pretokenize import is_lexical, pretokenize, pretokenize_lines
 
 
 # The character loop that split every non-ASCII line before the learned
@@ -140,6 +140,14 @@ def test_ascii_fast_path_equals_loop(line):
 @settings(max_examples=300)
 def test_learned_pattern_equals_loop(line):
     assert pretokenize(line) == _pretokenize_loop(line)
+
+
+@given(st.lists(st.text(max_size=30), max_size=8))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_pretokenize_lines_equals_loop(fresh_pretokenizer, lines):
+    # the lines are checked for new characters together, then split one by one
+    fresh_pretokenizer()
+    assert pretokenize_lines(lines) == [_pretokenize_loop(line) for line in lines]
 
 
 def test_learned_pattern_equals_loop_on_every_code_point():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphlens import tokenizer
-from morphlens.corpus import Corpus
+from morphlens.corpus import BATCH_LINES, Corpus
+from morphlens.pretokenize import pretokenize
 from morphlens.tokenizer import (
     _UNK_SCORE,
     Interner,
@@ -28,6 +29,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def vocab_of(**pieces):
     return Vocabulary(pieces=dict(pieces))
+
+
+def line_spans(batches):
+    """`tokenize_corpus` batches regrouped as one `(line, [(text, record),
+    ...])` pair per corpus line."""
+    out = []
+    for batch in batches:
+        assert len(batch.texts) == len(batch.records) == sum(batch.spans_per_line)
+        assert len(batch.lines) == len(batch.spans_per_line)
+        spans = zip(batch.texts, batch.records)
+        out += [(line, list(itertools.islice(spans, n))) for line, n in zip(batch.lines, batch.spans_per_line)]
+    return out
 
 
 # --- vocabulary loading ----------------------------------------------------
@@ -350,7 +363,7 @@ def test_pieces_are_the_vocabulary_strings():
     own = {id(piece) for piece in vocab.pieces}
     lines = (GOLDEN / "mixed.txt").read_text(encoding="utf-8").splitlines()[:20]
     corpus = Corpus.from_lines(lines)
-    spans = [pieces for _, line_spans in tokenize_corpus(corpus, vocab) for _, pieces in line_spans]
+    spans = [pieces for batch in tokenize_corpus(corpus, vocab) for pieces in batch.records]
     spans.append(segment_viterbi(" ".join(lines).replace(" ", vocab.boundary_marker), vocab))
     spans += [segment_greedy(word, vocab) for line in lines for word in line.split()]
     pieces = [piece for span in spans for piece in span]
@@ -423,7 +436,7 @@ def test_round_trip_random_strings():
 
 def test_tokenize_one_token_per_word():
     vocab = Vocabulary(pieces={"▁a": -1.0, "▁b": -1.0}, boundary_marker="▁")
-    lines = list(tokenize_corpus(Corpus.from_lines(["a b"]), vocab))
+    lines = line_spans(tokenize_corpus(Corpus.from_lines(["a b"]), vocab))
     assert lines == [("a b", [("a", ["▁a"]), ("b", ["▁b"])])]
 
 
@@ -448,7 +461,7 @@ def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, records, c
     monkeypatch.setattr(tokenizer, "segment_viterbi", segment)
     corpus = Corpus.from_lines(["a b c", "a b c"])
     vocab = Vocabulary(pieces={"▁a": -1.0}, boundary_marker="▁")
-    lines = list(tokenize_corpus(corpus, vocab, pretokenized=pretokenized))
+    lines = line_spans(tokenize_corpus(corpus, vocab, pretokenized=pretokenized))
     assert [pieces for _, spans in lines for _, pieces in spans] == records * 2
     assert seen == calls
 
@@ -462,7 +475,7 @@ def test_tokenize_empty_corpus():
 
 def test_tokenize_non_pretokenized_single_span():
     vocab = vocab_of(**{"a": -1.0, "b": -1.0, " ": -1.0})
-    lines = list(
+    lines = line_spans(
         tokenize_corpus(Corpus.from_lines(["a b", ""]), vocab, pretokenized=False)
     )
     assert lines == [("a b", [("a b", ["a", " ", "b"])]), ("", [])]
@@ -470,7 +483,7 @@ def test_tokenize_non_pretokenized_single_span():
 
 def test_tokenize_non_pretokenized_marks_only_spaces():
     vocab = Vocabulary(pieces={"▁": -1.0, "a": -1.0, "\t": -1.0}, boundary_marker="▁")
-    lines = list(
+    lines = line_spans(
         tokenize_corpus(Corpus.from_lines(["a a\ta"]), vocab, pretokenized=False)
     )
     # segmentation itself prepends the marker, as for any span
@@ -525,7 +538,7 @@ def test_tokenize_wholeline_is_one_call_per_chunk(case, greedy):
         want.append((line, [(text, expected.intern(pieces))]))
     interner = Interner()
     corpus = Corpus.from_lines(lines)
-    got = list(tokenize_corpus(corpus, vocab, False, greedy, interner.intern))
+    got = line_spans(tokenize_corpus(corpus, vocab, False, greedy, interner.intern))
     assert [line for line, _ in got] == lines
     assert [(line, spans) for line, spans in got if line] == want
     assert all(spans == [] for line, spans in got if not line)
@@ -539,7 +552,7 @@ def test_tokenize_wholeline_scores_each_chunk_from_zero():
     vocab = Vocabulary(
         pieces={"▁q": -0.1, "▁a": -10.0, "b": -0.2, "▁": -0.2, "ab": -10.0}, boundary_marker="▁"
     )
-    lines = list(tokenize_corpus(Corpus.from_lines(["q ab"]), vocab, pretokenized=False))
+    lines = line_spans(tokenize_corpus(Corpus.from_lines(["q ab"]), vocab, pretokenized=False))
     assert lines == [("q ab", [("q▁ab", ["▁q", "▁", "ab"])])]
     assert segment_viterbi("q▁ab", vocab) == ["▁q", "▁a", "b"]
 
@@ -556,8 +569,52 @@ def test_tokenize_wholeline_piece_across_separator(pieces, marker, line, span):
     # a piece covers a separator it does not start with, so the line is not
     # cut there; cut, it would be ▁a ▁b, or a " b"
     vocab = Vocabulary(pieces=pieces, boundary_marker=marker)
-    lines = list(tokenize_corpus(Corpus.from_lines([line]), vocab, pretokenized=False))
+    lines = line_spans(tokenize_corpus(Corpus.from_lines([line]), vocab, pretokenized=False))
     assert lines == [(line, [span])]
+
+
+# Corpora one short of, at and one past a batch of lines, and into a third
+# batch.
+B = BATCH_LINES
+BOUNDARY_SIZES = [0, 1, B - 1, B, B + 1, 2 * B + 3]
+
+# integer scores, so a whole line and its chunks segment alike
+BOUNDARY_VOCABS = {
+    "cut": {"▁ab": -2.0, "▁a": -2.0, "▁c": -2.0, "b": -1.0, "c": -2.0, "a": -1.0, "▁": -3.0, "ca": -2.0},
+    "whole": {"▁ab": -2.0, "▁a": -2.0, "b": -1.0, "c": -2.0, "a": -1.0, "▁": -3.0, "b▁b": -1.0},
+}
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+@pytest.mark.parametrize("pretokenized", [True, False], ids=["pretokenized", "wholeline"])
+@pytest.mark.parametrize("greedy", [False, True], ids=["viterbi", "greedy"])
+@pytest.mark.parametrize("pieces", list(BOUNDARY_VOCABS.values()), ids=list(BOUNDARY_VOCABS))
+def test_tokenize_batches_equal_one_line_at_a_time(boundary_lines, n, pretokenized, greedy, pieces):
+    vocab = Vocabulary(pieces=pieces, boundary_marker="▁")
+    segment = segment_greedy if greedy else segment_viterbi
+    lines = boundary_lines(n)
+    interner = Interner()
+    batches = list(tokenize_corpus(Corpus.from_lines(lines), vocab, pretokenized, greedy, interner.intern))
+    assert [len(batch.lines) for batch in batches] == [B] * (n // B) + [n % B] * (n % B > 0)
+    expected = Interner()
+    want = []
+    for line in lines:
+        if pretokenized:
+            spans = [(p, expected.intern(segment(p, vocab))) for p in pretokenize(line)]
+        elif line:
+            text = line.replace(" ", "▁")
+            spans = [(text, expected.intern(segment(text, vocab)))]
+        else:
+            spans = []
+        want.append((line, spans))
+    got = line_spans(batches)
+    assert got == want
+    # type ids are handed out in corpus order
+    assert interner.strings == expected.strings
+    if pretokenized and n > B // 2:
+        assert [text for text, _ in got[B // 2][1]] == ["ab", "¡", "ca", "¡¡", "ba"]
+    if pretokenized and n > B:
+        assert [text for text, _ in got[-1][1]] == ["ca", "‽", "‽", "ab"]
 
 
 def test_strip_marker():

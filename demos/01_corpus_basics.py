@@ -8,7 +8,6 @@ sampler, and the byte-premium ratio between two parallel texts.
 """
 
 from morphlens.corpus import Corpus, byte_premium, corpus_counts, sample_lines
-from morphlens.pretokenize import pretokenize
 
 corpus = Corpus.from_lines(
     [
@@ -19,7 +18,7 @@ corpus = Corpus.from_lines(
     ]
 )
 
-counts = corpus_counts(corpus, pretokenize)
+counts = corpus_counts(corpus, pretokenized=True)
 print("characters:", counts.ccc)
 print("bytes:     ", counts.cbc)
 print("words:     ", counts.cwc)

@@ -32,7 +32,10 @@ from .tokenizer import Interner
 
 DEFAULT_WINDOW = 1000
 
-# Pending pairs that trigger a replay into the accessor windows.
+# Pending pairs that trigger a replay into the accessor windows. The replay
+# is the one step of the accumulation pass that defers work: replaying every
+# 256-line batch as it arrives makes the bigram layer 17-24% slower, as each
+# `extend` then gets a short run of accessors per type.
 _FLUSH_PAIRS = 1 << 15
 
 

@@ -28,7 +28,6 @@ from . import bigram as bigram_mod
 from . import morph_eval, stats
 from .bigram import MetricsError
 from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
-from .pretokenize import pretokenize
 from .report import ComparisonReport, ConfigError, emit, load_config
 from .report import run as run_pipeline
 from .tokenizer import (
@@ -95,7 +94,7 @@ def _segmented(args, pretokenized: bool = True, **record):
 
 
 def cmd_counts(args) -> List[str]:
-    counts = corpus_counts(read_lines(args.path), pretokenize if args.pretokenize else None)
+    counts = corpus_counts(read_lines(args.path), args.pretokenize)
     return [f"{key}\t{getattr(counts, key)}" for key in ("ccc", "cbc", "cwc", "csc")]
 
 
@@ -127,7 +126,7 @@ def cmd_unigram(args) -> List[str]:
     unigrams = UnigramStats(args.mattr_window)
     # always pretokenized: there is no --no-pretokenize
     for batch in _segmented(args, record=unigrams.interner.intern):
-        unigrams.add_spans(batch.texts, batch.records, words=False)
+        unigrams.add_spans(batch.records)
     if not unigrams.tokens:
         raise CorpusError("corpus produced no tokens")
     return [

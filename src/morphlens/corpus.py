@@ -11,7 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Optional, Type, Union
+from typing import Iterable, Iterator, List, Optional, Type, Union
+
+from .pretokenize import pretokenize_lines
 
 
 class CorpusError(Exception):
@@ -182,18 +184,15 @@ def sample_lines(corpus: Corpus, n: int, seed: int) -> Corpus:
     return Corpus.from_lines(reservoir)
 
 
-def corpus_counts(
-    corpus: Corpus, words: Optional[Callable[[str], List[str]]] = None
-) -> CorpusCounts:
-    """Count characters, UTF-8 bytes, lines, and (optionally) pretokens.
-
-    `words` is a pretokenizer callable; without one, cwc stays 0.
-    """
+def corpus_counts(corpus: Corpus, pretokenized: bool = False) -> CorpusCounts:
+    """Count characters, UTF-8 bytes and lines, a batch of lines at a time.
+    With `pretokenized`, also count the pretokens `pretokenize` makes (cwc);
+    without, cwc stays 0."""
     counts = CorpusCounts()
     for lines in line_batches(corpus.lines()):
         counts.add(lines)
-        if words is not None:
-            counts.cwc += sum(map(len, map(words, lines)))
+        if pretokenized:
+            counts.cwc += sum(map(len, pretokenize_lines(lines)))
     return counts
 
 

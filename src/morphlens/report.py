@@ -204,7 +204,7 @@ def analyze_language(
     for batch in tokenize_corpus(corpus, vocab, pretokenized, greedy, interner.intern):
         counts.add(batch.lines)
         tables.observe_spans(batch.records)
-        unigrams.add_spans(batch.texts, batch.records, words=pretokenized)
+        unigrams.add_spans(batch.records, batch.texts if pretokenized else None)
     # the last batch's records, not only the exhausted generator's cache,
     # must be free before finalize
     batch = None

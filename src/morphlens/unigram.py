@@ -16,9 +16,6 @@ from .tokenizer import Interner, strip_marker
 DEFAULT_MATTR_WINDOW = 500
 DEFAULT_RENYI_ALPHA = 2.5
 
-# pending tokens folded into the counts and the MATTR window at once
-_FLUSH_TOKENS = 1 << 15
-
 
 @dataclass
 class FrequencyTable:
@@ -82,12 +79,12 @@ class UnigramStats:
     the tokens.
 
     Tokens are type ids from `interner`, which may be shared with other
-    accumulators of the same pass; `add_spans` takes the texts and id
-    records of a batch of spans, and `add` interns one span's pieces first.
-    Ids are buffered and folded in batches into per-id counts and an id-based
-    MATTR window, and reading a metric folds everything added so far and
-    maps ids back to strings. Every count and sum is the one a single pass over the
-    whole token list makes, in the same order, so results are exact.
+    accumulators of the same pass; `add_spans` takes the id records of a
+    batch of spans, and `add` interns one span's pieces first. Each batch is
+    folded as it arrives into per-id counts and an id-based MATTR window;
+    reading a metric changes nothing and maps ids back to strings. Every
+    count and sum is the one a single pass over the whole token list makes,
+    in the same order, so results are exact.
     """
 
     def __init__(
@@ -101,8 +98,7 @@ class UnigramStats:
         self.interner = interner if interner is not None else Interner()
         self.tokens = 0  # ctc
         self._counts: List[int] = []  # per type id
-        self._pending: List[int] = []
-        # MATTR: the last `mattr_window` folded ids, their counts per type id,
+        # MATTR: the last `mattr_window` ids, their counts per type id,
         # the distinct types among them, and that count summed over full windows
         self._tail: List[int] = []
         self._window: List[int] = []
@@ -114,31 +110,22 @@ class UnigramStats:
     def add(self, pieces: Sequence[str], word: Optional[str] = None) -> None:
         """Add one span's pieces; `word`, when given, is the span's text and
         counts towards `mwl` and `s`."""
-        self.add_spans([word], [self.interner.intern(pieces)], words=word is not None)
+        self.add_spans([self.interner.intern(pieces)], None if word is None else [word])
 
     def add_spans(
-        self, texts: Sequence[Optional[str]], records: Sequence[Sequence[int]], words: bool
+        self, records: Sequence[Sequence[int]], words: Optional[Sequence[str]] = None
     ) -> None:
-        """Add the id records of a batch of spans, in corpus order, and their
-        texts. With `words`, each span's text is a word that counts towards
-        `mwl` and `s`."""
-        if words:
-            if not all(texts):
+        """Add the id records of a batch of spans, in corpus order, to the
+        type counts and the MATTR window. `words`, when given, are the spans'
+        texts, which are words that count towards `mwl` and `s`."""
+        if words is not None:
+            if not all(words):
                 raise ValueError("words must be nonempty")
-            self.words += len(texts)
-            self._word_chars += sum(map(len, texts))
+            self.words += len(words)
+            self._word_chars += sum(map(len, words))
             # plain left-to-right additions, as one span at a time makes
             # them; sum() of floats compensates on Python 3.12 and later
-            self._s_sum = reduce(add, map(truediv, map(len, records), map(len, texts)), self._s_sum)
-        pending = self._pending
-        before = len(pending)
-        pending += chain.from_iterable(records)
-        self.tokens += len(pending) - before
-        if len(pending) >= _FLUSH_TOKENS:
-            self._fold()
-
-    def _fold(self) -> None:
-        """Apply the pending ids to the type counts and the MATTR window."""
+            self._s_sum = reduce(add, map(truediv, map(len, records), map(len, words)), self._s_sum)
         counts = self._counts
         window = self._window
         new = len(self.interner.strings) - len(counts)
@@ -152,8 +139,8 @@ class UnigramStats:
         # positions in seq are positions in the corpus
         seq = self._tail
         start = len(seq)
-        seq += self._pending
-        self._pending = []
+        seq += chain.from_iterable(records)
+        self.tokens += len(seq) - start
         for tid in islice(seq, start, w):
             counts[tid] += 1
             c = window[tid]
@@ -178,8 +165,7 @@ class UnigramStats:
         self._distinct = distinct
         self._distinct_sum = total
 
-    def _folded(self) -> int:
-        self._fold()
+    def _nonempty(self) -> int:
         if not self.tokens:
             raise ValueError("token sequence must be nonempty")
         return self.tokens
@@ -190,13 +176,13 @@ class UnigramStats:
         return {strings[tid]: c for tid, c in enumerate(self._counts) if c}
 
     def frequency(self) -> FrequencyTable:
-        n = self._folded()
+        n = self._nonempty()
         return FrequencyTable(counts=self._type_counts(), total=n)
 
     def mattr(self) -> float:
         """Moving-average TTR over windows of `mattr_window` tokens (stride
         1); plain TTR when fewer tokens than that were added."""
-        n = self._folded()
+        n = self._nonempty()
         w = self.mattr_window
         if n < w:
             return sum(1 for c in self._counts if c) / n
@@ -204,7 +190,7 @@ class UnigramStats:
 
     def mtl(self) -> float:
         """Micro-average characters per token, boundary markers stripped."""
-        n = self._folded()
+        n = self._nonempty()
         return sum(c * len(strip_marker(t)) for t, c in self._type_counts().items()) / n
 
     def mwl(self) -> float:

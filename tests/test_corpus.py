@@ -11,7 +11,6 @@ from morphlens.corpus import (
     read_text,
     sample_lines,
 )
-from morphlens.pretokenize import pretokenize
 
 
 def write(tmp_path, name, data):
@@ -116,7 +115,7 @@ def test_sample_uniformity_monte_carlo():
 
 
 def test_counts_ascii_line():
-    c = corpus_counts(Corpus.from_lines(["ab cd"]), pretokenize)
+    c = corpus_counts(Corpus.from_lines(["ab cd"]), pretokenized=True)
     assert (c.ccc, c.cbc, c.csc, c.cwc) == (5, 5, 1, 2)
 
 
@@ -126,7 +125,7 @@ def test_counts_two_byte_scalar():
 
 
 def test_counts_three_lines():
-    c = corpus_counts(Corpus.from_lines(["x y", "z", ""]), pretokenize)
+    c = corpus_counts(Corpus.from_lines(["x y", "z", ""]), pretokenized=True)
     assert c.csc == 3
     assert c.cwc == 3
 

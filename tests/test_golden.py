@@ -13,8 +13,10 @@ A change that alters a number must say so and regenerate the expected files:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,8 @@ CASES = {
         "mixed.tsv",
         "--no-pretokenize",
     ],
+    # pretoken counts over non-ASCII letters and punctuation (« »)
+    "counts_mixed_pretokenize": ["counts", "mixed.txt", "--pretokenize"],
     "bigram_mixed_no_pretokenize_w50": [
         "bigram",
         "mixed.txt",
@@ -147,12 +151,23 @@ CASES = {
 }
 
 
+# commands without an --out option; their cases are read from stdout
+STDOUT_ONLY = {"counts"}
+
+
 def render(name: str, out: Path) -> bytes:
     """Run one case from `tests/golden/` and return the bytes it wrote."""
+    argv = CASES[name]
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        code = main(CASES[name] + ["--out", str(out)])
+        if argv[0] in STDOUT_ONLY:
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+            with redirect_stdout(stdout):
+                code = main(argv)
+            out.write_bytes(stdout.buffer.getvalue())
+        else:
+            code = main(argv + ["--out", str(out)])
     finally:
         os.chdir(cwd)
     assert code == 0

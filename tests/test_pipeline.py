@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlens import bigram, unigram
+from morphlens import bigram
 from morphlens.bigram import AccessorState, MetricsError
 from morphlens.corpus import BATCH_LINES, Corpus, CorpusError
 from morphlens.pretokenize import DEFAULT_MARKER, is_lexical, pretokenize
@@ -240,8 +240,9 @@ corpus_lines = st.one_of(
     st.lists(words, min_size=1, max_size=3).map("  ".join),
     st.just(""),
 )
-# small thresholds flush the pending pairs and tokens mid-stream; the large
-# one leaves everything to the flush on the first read
+# small thresholds replay the pending pairs mid-stream; the large one leaves
+# everything to the replay on the first read. Unigram tokens are folded as
+# each batch arrives.
 thresholds = st.sampled_from([1, 2, 3, 5, 8, 1 << 15])
 
 
@@ -255,20 +256,17 @@ thresholds = st.sampled_from([1, 2, 3, 5, 8, 1 << 15])
     mattr_window=st.integers(1, 8),
     alpha=st.sampled_from([0.0, 1.0, 2.5]),
     flush_pairs=thresholds,
-    flush_tokens=thresholds,
 )
 @settings(max_examples=300, deadline=None)
 def test_analyze_language_matches_per_token_oracle(
-    pieces, corpus, pretokenized, greedy, window, stride, mattr_window, alpha, flush_pairs, flush_tokens
+    pieces, corpus, pretokenized, greedy, window, stride, mattr_window, alpha, flush_pairs
 ):
     marker = "▁" if any("▁" in p for p in pieces) else None
     vocab = Vocabulary(pieces=pieces, boundary_marker=marker)
     settings_ = dict(window=window, stride=stride, mattr_window=mattr_window, alpha=alpha,
                      pretokenized=pretokenized, greedy=greedy)
     want = oracle(corpus, vocab, **settings_)
-    with mock.patch.object(bigram, "_FLUSH_PAIRS", flush_pairs), mock.patch.object(
-        unigram, "_FLUSH_TOKENS", flush_tokens
-    ):
+    with mock.patch.object(bigram, "_FLUSH_PAIRS", flush_pairs):
         if isinstance(want, type):
             with pytest.raises(want):
                 analyze_language(Corpus.from_lines(corpus), vocab, **settings_)
@@ -290,8 +288,8 @@ def test_oracle_sees_repeats_unk_and_both_modes():
 
 
 # Corpora one short of, at and one past a batch of lines, and into a third
-# batch. Small flush thresholds replay pairs and fold tokens across batch
-# boundaries.
+# batch. A small flush threshold replays pairs across batch boundaries;
+# unigram tokens are folded per batch at any threshold.
 B = BATCH_LINES
 
 
@@ -310,7 +308,7 @@ def test_analyze_language_across_batch_boundaries(
     s = dict(window=5, stride=2, mattr_window=7, alpha=2.5, pretokenized=pretokenized, greedy=greedy)
     want = oracle(lines, vocab, **s)
     fresh_pretokenizer()  # the oracle has learned "¡" and "‽"
-    with mock.patch.object(bigram, "_FLUSH_PAIRS", flush), mock.patch.object(unigram, "_FLUSH_TOKENS", flush):
+    with mock.patch.object(bigram, "_FLUSH_PAIRS", flush):
         if n == 0:
             assert want is CorpusError
             with pytest.raises(CorpusError):

@@ -2,13 +2,11 @@ import math
 import random
 import string
 from collections import Counter
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphlens import unigram
 from morphlens.unigram import (
     FrequencyTable,
     UnigramStats,
@@ -269,17 +267,17 @@ SPANS = st.lists(
 )
 
 
-@given(SPANS, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8))
+@given(SPANS, st.integers(min_value=1, max_value=12))
 @settings(max_examples=300, deadline=None)
-def test_stats_stream_equals_brute_force(spans, window, flush):
+def test_stats_stream_equals_brute_force(spans, window):
+    # each add is folded on its own, so MATTR windows span add calls
     spans = [(pieces, word) for pieces, word, _ in spans]
     tokens = [t for pieces, _ in spans for t in pieces]
     if not tokens:
         return
     stats = UnigramStats(window)
-    with mock.patch.object(unigram, "_FLUSH_TOKENS", flush):
-        for pieces, word in spans:
-            stats.add(pieces, word)
+    for pieces, word in spans:
+        stats.add(pieces, word)
     got = {
         "tokens": stats.tokens,
         "mattr": stats.mattr(),
@@ -292,20 +290,36 @@ def test_stats_stream_equals_brute_force(spans, window, flush):
     assert stats.frequency().total == len(tokens)
 
 
-@given(SPANS, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8))
+@given(SPANS, st.integers(min_value=1, max_value=12))
 @settings(max_examples=200, deadline=None)
-def test_stats_read_mid_stream(spans, window, flush):
-    # reading a metric folds the pending tokens; later adds continue from there
+def test_stats_read_mid_stream(spans, window):
+    # a read between adds sees everything added so far; later adds continue
     stats = UnigramStats(window)
     seen = []
-    with mock.patch.object(unigram, "_FLUSH_TOKENS", flush):
-        for pieces, word, read in spans:
-            stats.add(pieces, word)
-            seen.append((pieces, word))
-            if read and stats.tokens:
-                expected = reference_metrics(seen, window, "▁")
-                assert stats.mattr() == expected["mattr"]
-                assert stats.mtl() == expected["mtl"]
+    for pieces, word, read in spans:
+        stats.add(pieces, word)
+        seen.append((pieces, word))
+        if read and stats.tokens:
+            expected = reference_metrics(seen, window, "▁")
+            assert stats.mattr() == expected["mattr"]
+            assert stats.mtl() == expected["mtl"]
+
+
+def test_add_spans_words_and_reads():
+    stats = UnigramStats(3)
+    a, b, c = stats.interner.intern(["▁a", "b", "c"])
+    with pytest.raises(ValueError, match="words must be nonempty"):
+        stats.add_spans([[a], [b]], ["x", ""])
+    # without words, tokens count but no word metric moves
+    stats.add_spans([[a, b], [c]])
+    assert (stats.tokens, stats.words, stats.mwl(), stats.s()) == (3, 0, 0.0, 0.0)
+    first = stats.mattr()
+    assert stats.mattr() == first  # a read changes nothing
+    assert stats.tokens == 3
+    stats.add_spans([[a], [a, c]], ["ab", "c"])
+    assert (stats.tokens, stats.words, stats.mwl(), stats.s()) == (6, 2, 1.5, 1.25)
+    # windows (a b c), (b c a), (c a a), (a a c): 3, 3, 2, 2 distinct
+    assert stats.mattr() == stats.mattr() == 10 / 4 / 3
 
 
 def test_stats_match_public_wrappers():

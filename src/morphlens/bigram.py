@@ -14,8 +14,9 @@ last W accessors (default W=1000) and derive:
        min(BR_L, BR_R) >= 0.95
 
 Dummies never enter windows or count tables; they are tallied only in b.
-Window statistics (distinct count and the entropy accumulator sum c*log2(c))
-update in O(1) per element entering or leaving the window.
+A window's count table drops an accessor when its count reaches 0, so the
+distinct count is the table's size; the table and the entropy accumulator
+sum c*log2(c) update in O(1) per element entering or leaving the window.
 """
 
 from __future__ import annotations
@@ -66,7 +67,9 @@ def _efficiency(h: float, n: int, pool: int) -> float:
 class AccessorState:
     """Sliding-window accessor statistics for one token type on one side.
 
-    `window` holds the last `capacity` accessors, oldest first. `push` is the
+    `window` holds the last `capacity` accessors, oldest first, and `counts`
+    their counts: an accessor leaves the table when its count reaches 0, so
+    `len(counts)` is the window's distinct count. `push` is the
     one-at-a-time reference, O(capacity) per accessor once the window is
     full; `extend` is the batched path `BigramTables` uses."""
 
@@ -75,7 +78,6 @@ class AccessorState:
         "stride",
         "window",
         "counts",
-        "distinct",
         "entropy_acc",
         "ta",
         "dummies",
@@ -95,7 +97,6 @@ class AccessorState:
         self.stride = stride
         self.window: List[int] = []
         self.counts: Dict[int, int] = {}
-        self.distinct = 0
         self.entropy_acc = 0.0  # sum of c * log2(c) over window counts
         self.ta = 0
         self.dummies = 0
@@ -121,19 +122,16 @@ class AccessorState:
             c = counts[old]
             if c == 1:
                 del counts[old]
-                self.distinct -= 1
             else:
                 counts[old] = c - 1
             self.entropy_acc += _clog2(c - 1) - _clog2(c)
         window.append(accessor)
         c = counts.get(accessor, 0)
         counts[accessor] = c + 1
-        if c == 0:
-            self.distinct += 1
         self.entropy_acc += _clog2(c + 1) - _clog2(c)
         self.ta += 1
         if len(window) == self.capacity and (self.ta - self.capacity) % self.stride == 0:
-            self.av_sum += self.distinct
+            self.av_sum += len(counts)
             w = self.capacity
             # clamp: accumulated rounding can push a zero entropy negative
             self.h_sum += max(0.0, math.log2(w) - self.entropy_acc / w)
@@ -152,7 +150,6 @@ class AccessorState:
         window = self.window
         counts = self.counts
         get = counts.get
-        distinct = self.distinct
         acc = self.entropy_acc
         room = cap - len(window)
         if room:
@@ -160,13 +157,11 @@ class AccessorState:
             for a in fresh:
                 c = get(a, 0)
                 counts[a] = c + 1
-                if c == 0:
-                    distinct += 1
                 acc += steps[c]
             self.ta += len(fresh)
             if self.ta == cap:
                 # the first full window is always sampled
-                self.av_sum += distinct
+                self.av_sum += len(counts)
                 h = math.log2(cap) - acc / cap
                 self.h_sum += h if h > 0.0 else 0.0
                 self.snapshots += 1
@@ -185,19 +180,16 @@ class AccessorState:
                 c = counts[old]
                 if c == 1:
                     del counts[old]
-                    distinct -= 1
                 else:
                     counts[old] = c - 1
                 acc -= steps[c - 1]
                 c = get(a, 0)
                 counts[a] = c + 1
-                if c == 0:
-                    distinct += 1
                 acc += steps[c]
                 until -= 1
                 if until == 0:
                     until = stride
-                    av_sum += distinct
+                    av_sum += len(counts)
                     h = log2w - acc / cap
                     h_sum += h if h > 0.0 else 0.0
                     snapshots += 1
@@ -206,7 +198,6 @@ class AccessorState:
             self.snapshots = snapshots
             self.ta += len(entering)
             del window[:-cap]
-        self.distinct = distinct
         self.entropy_acc = acc
 
     # --- windowed metrics -------------------------------------------------
@@ -216,14 +207,14 @@ class AccessorState:
         window for types with fewer than W lifetime accessors."""
         if self.snapshots:
             return self.av_sum / self.snapshots
-        return float(self.distinct)
+        return float(len(self.counts))
 
     def windowed_au(self) -> float:
         if self.snapshots:
             return self.av_sum / self.snapshots / self.capacity
         if self.fill == 0:
             return 0.0
-        return self.distinct / self.fill
+        return len(self.counts) / self.fill
 
     def windowed_eta(self, pool: int) -> float:
         """Entropy over the maximal entropy log2(min(pool, fill)); windows
@@ -272,8 +263,8 @@ def _side_metrics(
             n = st.capacity
         else:
             n = len(st.window)
-            av = float(st.distinct)
-            au = st.distinct / n if n else 0.0
+            av = float(len(st.counts))
+            au = av / n if n else 0.0
             h = max(0.0, log2(n) - st.entropy_acc / n) if n else 0.0
         if lifetime_eta:
             eta = st.lifetime_eta(pool) if pool else 0.0

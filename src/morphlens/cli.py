@@ -11,7 +11,8 @@ the one place that writes them, UTF-8 encoded whatever the locale, to
 success; 1 an input error (missing file, invalid UTF-8, bad vocabulary or
 number, no tokens or lexical types, a failed statistic) with a one-line
 message, or for `run` a failed language row; 2 a usage error (option out
-of range, wrong number of `stats` inputs) or for `run` a config error.
+of range, wrong number of `stats` inputs, a `tokenize --out` that is its
+corpus) or for `run` a config error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from itertools import chain, islice
@@ -103,7 +105,11 @@ def cmd_byte_premium(args) -> List[str]:
 
 
 def cmd_tokenize(args) -> Iterator[str]:
-    return _joined(_segmented(args, not args.no_pretokenize))
+    batches = _segmented(args, not args.no_pretokenize)
+    # the output streams: opening it would empty a corpus not yet read
+    if args.out != "-" and os.path.exists(args.out) and os.path.samefile(args.out, args.corpus):
+        raise UsageError(f"--out {args.out!r} is the corpus being tokenized")
+    return _joined(batches)
 
 
 def _joined(batches: Iterable[SpanBatch]) -> Iterator[str]:

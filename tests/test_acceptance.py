@@ -207,7 +207,8 @@ def test_05_window_invariants():
                     assert abs(state.h_sum / state.snapshots - h) <= 1e-10
                 # per current window: AU * fill = AV exactly
                 if state.fill:
-                    assert state.distinct / state.fill * state.fill == state.distinct
+                    distinct = len(state.counts)
+                    assert distinct / state.fill * state.fill == distinct
 
 
 def test_06_eta_boundary_behavior():

@@ -3,6 +3,7 @@ import os
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -199,7 +200,7 @@ def test_incremental_equals_batch_every_step():
             s.push(a)
             raw.append(a)
             distinct, acc = batch_stats(raw[-16:])
-            assert s.distinct == distinct
+            assert len(s.counts) == distinct
             assert s.entropy_acc == pytest.approx(acc, abs=1e-10)
             assert sum(s.counts.values()) == min(s.ta, 16)
 
@@ -211,8 +212,8 @@ def test_au_times_fill_equals_av_per_window():
         for _ in range(rng.randrange(1, 60)):
             s.push(rng.randrange(5))
             fill = s.fill
-            assert s.distinct / fill * fill == pytest.approx(s.distinct)
-            assert 1 <= s.distinct <= min(s.ta, 16)
+            assert len(s.counts) / fill * fill == pytest.approx(len(s.counts))
+            assert 1 <= len(s.counts) <= min(s.ta, 16)
 
 
 # --- conservation fuzzing --------------------------------------------------
@@ -383,6 +384,10 @@ def test_extend_equals_repeated_push(window, stride, lifetime, accessors, cuts):
         batched.extend(chunk, steps)
         assert slots(batched) == slots(ref)
         assert batched.window == accessors[:stop][-window:]
+        # the count table holds exactly the window's accessors, with no zero
+        # entry: `len(counts)` is the distinct count
+        assert batched.counts == Counter(batched.window)
+        assert ref.counts == Counter(ref.window)
         start = stop
 
 

@@ -66,6 +66,23 @@ def test_tokenize(capsys, lang):
     assert lines[0] == "ab a b ab ca"
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_tokenize_out_naming_its_corpus_is_a_usage_error(capsys, tmp_path, lang, spelling):
+    # the output streams, so opening it for writing would empty the corpus
+    # before a line of it is read
+    source, vocab = lang
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(source.read_bytes())
+    out = str(corpus) if spelling == "same" else str(tmp_path / "." / corpus.name)
+    code = main(["tokenize", str(corpus), "--vocab", str(vocab), "--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("morphlens: error: ")
+    assert captured.err.count("\n") == 1
+    assert corpus.read_bytes() == source.read_bytes()
+
+
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
 def test_tokenize_input_error_after_valid_lines(capsys, tmp_path, lang, to_file):
     # output streams: the lines before the bad byte stay written, and the

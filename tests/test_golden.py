@@ -2,10 +2,11 @@
 
 The inputs in `tests/golden/` are an ASCII pretokenized corpus per language
 with a marker vocabulary that has an `<unk>` piece, the first language's
-vocabulary without the marker (`plain.tsv`), a mixed-script corpus of
-long lines with its marker vocabulary, a reference segmentation
-file for `align` (with rejected entries, a word with two references and CRLF
-lines), numeric columns for `stats`, and one `run` config per output format.
+vocabulary without the marker (`plain.tsv`) and with three pieces that join
+words across it (`joined.tsv`), a mixed-script corpus of long lines with its
+marker vocabulary, a reference segmentation file for `align` (with rejected
+entries, a word with two references and CRLF lines), numeric columns for
+`stats`, and one `run` config per output format.
 Paths in the configs are relative to `tests/golden/`.
 
 A change that alters a number must say so and regenerate the expected files:
@@ -132,6 +133,22 @@ CASES = {
         "--no-pretokenize",
     ],
     "unigram_plain": ["unigram", "alpha.txt", "--vocab", "plain.tsv"],
+    # the pieces of `alpha.tsv` and three that join two words across a
+    # marker, so whole-line mode cannot cut lines and segments each one whole
+    "tokenize_joined_no_pretokenize": [
+        "tokenize",
+        "alpha.txt",
+        "--vocab",
+        "joined.tsv",
+        "--no-pretokenize",
+    ],
+    "bigram_joined_no_pretokenize": [
+        "bigram",
+        "alpha.txt",
+        "--vocab",
+        "joined.tsv",
+        "--no-pretokenize",
+    ],
     "run_tsv": ["run", "--config", "run_tsv.ini"],
     "run_csv": ["run", "--config", "run_csv.ini"],
     "run_json": ["run", "--config", "run_json.ini"],

@@ -4,6 +4,10 @@ Streaming token-bigram gradient proxies of morphology (accessor variety,
 uniqueness, entropic efficiency, boundary/lexicalization ratios), classical
 unigram and word metrics, morphological boundary-alignment evaluation, and
 the statistics needed to compare metric populations soundly.
+
+`import morphlens` loads the analysis path only: the package never imports
+`morphlens.stats`, and the `morph_eval` names below load that module on
+first use.
 """
 
 from .bigram import BigramReport, BigramTables
@@ -15,14 +19,6 @@ from .corpus import (
     corpus_counts,
     read_lines,
     sample_lines,
-)
-from .morph_eval import (
-    AlignmentResult,
-    SegmentationRef,
-    derive_subsets,
-    eval_full,
-    load_refs,
-    morphscore,
 )
 from .pretokenize import is_lexical, pretokenize
 from .report import RunConfig, analyze_language, emit, load_config, run
@@ -38,3 +34,17 @@ from .tokenizer import (
 from .unigram import FrequencyTable, UnigramStats, mattr, mtl, renyi_efficiency, ttr
 
 __version__ = "0.1.0"
+
+_MORPH_EVAL = ("AlignmentResult", "SegmentationRef", "derive_subsets", "eval_full", "load_refs", "morphscore")
+
+
+def __getattr__(name: str):
+    if name in _MORPH_EVAL:
+        from . import morph_eval
+
+        return getattr(morph_eval, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_MORPH_EVAL])

@@ -28,6 +28,7 @@ from itertools import chain, pairwise
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .corpus import InputError
 from .pretokenize import is_lexical
 from .tokenizer import Interner
 
@@ -51,7 +52,7 @@ def entropy_steps(stop: int, start: int = 0) -> List[float]:
     return [_clog2(c + 1) - _clog2(c) for c in range(start, stop)]
 
 
-class MetricsError(Exception):
+class MetricsError(InputError):
     pass
 
 

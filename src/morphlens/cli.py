@@ -11,8 +11,11 @@ the one place that writes them, UTF-8 encoded whatever the locale, to
 success; 1 an input error (missing file, invalid UTF-8, bad vocabulary or
 number, no tokens or lexical types, a failed statistic) with a one-line
 message, or for `run` a failed language row; 2 a usage error (option out
-of range, wrong number of `stats` inputs, a `tokenize --out` that is its
-corpus) or for `run` a config error.
+of range, wrong number of `stats` inputs, an `--out` that names a file the
+command reads) or for `run` a config error.
+
+`stats` and `align` import their library modules when they run, so the
+other commands never load them.
 """
 
 from __future__ import annotations
@@ -27,14 +30,11 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional
 
 from . import bigram as bigram_mod
-from . import morph_eval, stats
-from .bigram import MetricsError
-from .corpus import CorpusError, byte_premium, corpus_counts, read_lines
+from .corpus import CorpusError, InputError, byte_premium, corpus_counts, read_lines
 from .report import ComparisonReport, ConfigError, emit, load_config
 from .report import run as run_pipeline
 from .tokenizer import (
     SpanBatch,
-    VocabularyError,
     load_vocab,
     segment_greedy,
     segment_viterbi,
@@ -53,8 +53,15 @@ class RowsFailed(Exception):
 
 
 # input errors that end a command with a one-line message and exit 1
-_INPUT_ERRORS = (CorpusError, VocabularyError, MetricsError, stats.StatsError,
-                 morph_eval.MorphEvalError, OSError)
+_INPUT_ERRORS = (InputError, OSError)
+
+# `morph_eval.MODES` and the `stats` alternatives, spelled out so that
+# building the parser loads neither module (a test keeps them equal)
+_ALIGN_MODES = ["full", "morphscore-exclude", "morphscore-credit", "stem-suffix", "suffix-suffix"]
+_ALTERNATIVES = ["two-sided", "less", "greater"]
+
+# the argparse dests that name files a command reads
+_INPUT_DESTS = ("corpus", "vocab", "refs", "inputs", "config")
 
 
 def _error(message: str, code: int) -> int:
@@ -105,11 +112,7 @@ def cmd_byte_premium(args) -> List[str]:
 
 
 def cmd_tokenize(args) -> Iterator[str]:
-    batches = _segmented(args, not args.no_pretokenize)
-    # the output streams: opening it would empty a corpus not yet read
-    if args.out != "-" and os.path.exists(args.out) and os.path.samefile(args.out, args.corpus):
-        raise UsageError(f"--out {args.out!r} is the corpus being tokenized")
-    return _joined(batches)
+    return _joined(_segmented(args, not args.no_pretokenize))
 
 
 def _joined(batches: Iterable[SpanBatch]) -> Iterator[str]:
@@ -144,6 +147,8 @@ def cmd_unigram(args) -> List[str]:
 
 
 def cmd_align(args) -> List[str]:
+    from . import morph_eval
+
     vocab = load_vocab(args.vocab)
     loaded = morph_eval.load_refs(args.refs)
     segment = segment_greedy if args.greedy else segment_viterbi
@@ -164,6 +169,8 @@ _STATS_ARITY = {
 
 
 def cmd_stats(args) -> List[str]:
+    from . import stats
+
     n_files, message = _STATS_ARITY[args.test]
     if len(args.inputs) != n_files:
         raise UsageError(message)
@@ -188,6 +195,7 @@ def cmd_stats(args) -> List[str]:
 
 def cmd_run(args) -> Iterator[str]:
     config = load_config(args.config)
+    _check_out(args.out, (path for lang in config.languages for path in (lang.corpus, lang.vocab)))
     report = run_pipeline(config)
     return _then_failed_rows(report, emit(report, config.format, config.percent))
 
@@ -256,15 +264,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("align", parents=[segmenting], help="morphological boundary evaluation")
     p.add_argument("refs")
-    p.add_argument("--mode", choices=morph_eval.MODES, default="full")
+    p.add_argument("--mode", choices=_ALIGN_MODES, default="full")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("stats", parents=[output], help="hypothesis tests and regression")
     p.add_argument("test", choices=list(_STATS_ARITY))
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--alpha", type=_probability, default=0.05)
-    p.add_argument("--alternative", choices=[stats.TWO_SIDED, stats.LESS, stats.GREATER],
-                   default=stats.TWO_SIDED)
+    p.add_argument("--alternative", choices=_ALTERNATIVES, default="two-sided")
     p.add_argument("--k", type=_positive_int, default=3, help="duplication factor for dup")
     p.set_defaults(func=cmd_stats)
 
@@ -282,6 +289,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: Optional[str], inputs: Iterable[str]) -> None:
+    """A usage error if `out` is one of the files in `inputs`: opening it
+    would empty an input, and the streaming commands have not read theirs
+    yet."""
+    if not out or out == "-" or not os.path.exists(out):
+        return
+    for path in inputs:
+        if os.path.exists(path) and os.path.samefile(out, path):
+            raise UsageError(f"--out {out!r} is the input file {path!r}")
+
+
+def _inputs(args) -> Iterator[str]:
+    """The files named on the command line that the command reads."""
+    for dest in _INPUT_DESTS:
+        value = getattr(args, dest, None)
+        if isinstance(value, list):
+            yield from value
+        elif value is not None:
+            yield value
+
+
 def _write(path: Optional[str], lines: Iterable[str]) -> None:
     """Write each line and a newline, UTF-8 encoded, as it comes: to `path`,
     or to stdout when there is none or it is '-'."""
@@ -296,8 +324,10 @@ def _write(path: Optional[str], lines: Iterable[str]) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
-        _write(getattr(args, "out", None), args.func(args))
+        _check_out(out, _inputs(args))
+        _write(out, args.func(args))
     except BrokenPipeError:  # an OSError, so it goes first
         return 0
     except RowsFailed as e:

@@ -16,7 +16,13 @@ from typing import Iterable, Iterator, List, Optional, Type, Union
 from .pretokenize import pretokenize_lines
 
 
-class CorpusError(Exception):
+class InputError(Exception):
+    """Base of the errors that bad input data raises (a corpus, a vocabulary,
+    a reference list, a column of numbers, or no usable tokens): the
+    command line ends such an error with a one-line message and exit 1."""
+
+
+class CorpusError(InputError):
     """Raised for unreadable files or invalid UTF-8 input."""
 
 

@@ -13,7 +13,7 @@ import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple, Union
 
-from .corpus import read_text
+from .corpus import InputError, read_text
 from .tokenizer import Vocabulary, strip_marker
 
 Segmenter = Callable[[str], Sequence[str]]
@@ -22,7 +22,7 @@ EXCLUDE_VOCAB = "exclude_vocab"
 CREDIT_VOCAB = "credit_vocab"
 
 
-class MorphEvalError(Exception):
+class MorphEvalError(InputError):
     pass
 
 

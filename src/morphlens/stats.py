@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .corpus import read_text
+from .corpus import InputError, read_text
 
 TWO_SIDED = "two-sided"
 LESS = "less"
@@ -28,7 +28,7 @@ _BETA_TOL = 1e-12
 _BETA_MAX_ITER = 500
 
 
-class StatsError(Exception):
+class StatsError(InputError):
     pass
 
 

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, ClassVar, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .corpus import Corpus, line_batches, read_text
+from .corpus import Corpus, InputError, line_batches, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize_lines
 
 # Each unknown character costs this much; any cover using fewer unknowns
@@ -36,7 +36,7 @@ T = TypeVar("T")
 _Trie = Dict[str, Tuple["_Trie", Optional[float], Optional[str], str]]
 
 
-class VocabularyError(Exception):
+class VocabularyError(InputError):
     """Raised for malformed or inconsistent vocabulary files."""
 
 

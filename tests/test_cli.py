@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import morphlens
+from morphlens import cli
 from morphlens.cli import main
-from morphlens.corpus import BATCH_LINES, read_lines
+from morphlens.corpus import BATCH_LINES, InputError, read_lines
 from morphlens.report import analyze_language
 from morphlens.tokenizer import load_vocab
 
@@ -591,6 +593,81 @@ def test_early_input_error_leaves_out_file_untouched(capsys, tmp_path, lang, com
     assert code == (2 if command == "run" else 1)
     assert captured.err.count("\n") == 1
     assert out_path.read_bytes() == b"earlier output\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["tokenize", "alpha.txt", "--vocab", "alpha.tsv"], "alpha.tsv"),
+        (["bigram", "alpha.txt", "--vocab", "alpha.tsv"], "alpha.txt"),
+        (["bigram", "alpha.txt", "--vocab", "alpha.tsv"], "./alpha.tsv"),
+        (["unigram", "alpha.txt", "--vocab", "alpha.tsv"], "alpha.txt"),
+        (["align", "refs.tsv", "--vocab", "alpha.tsv"], "refs.tsv"),
+        (["align", "refs.tsv", "--vocab", "alpha.tsv"], "alpha.tsv"),
+        (["stats", "welch", "--in", "g1_before.csv", "g2_before.csv"], "g2_before.csv"),
+        (["stats", "holm", "--in", "p_values.csv"], "p_values.csv"),
+        (["run", "--config", "run_tsv.ini"], "run_tsv.ini"),
+        (["run", "--config", "run_tsv.ini"], "alpha.txt"),
+        (["run", "--config", "run_tsv.ini"], "beta.tsv"),
+        (["bigram", "alpha.txt", "--vocab", "alpha.tsv"], "link.txt"),
+    ],
+    ids=[
+        "tokenize-vocab",
+        "bigram-corpus",
+        "bigram-vocab-dotted",
+        "unigram-corpus",
+        "align-refs",
+        "align-vocab",
+        "stats-second-input",
+        "stats-holm-input",
+        "run-config",
+        "run-listed-corpus",
+        "run-listed-vocab",
+        "bigram-corpus-symlink",
+    ],
+)
+def test_out_naming_an_input_is_a_usage_error(capsys, tmp_path, monkeypatch, argv, out):
+    # checked before --out is opened, so every input keeps its bytes
+    shutil.copytree(GOLDEN, tmp_path, dirs_exist_ok=True)
+    (tmp_path / "link.txt").symlink_to(tmp_path / "alpha.txt")
+    monkeypatch.chdir(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    code = main(argv + ["--out", out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"morphlens: error: --out {out!r} is the input file ")
+    assert captured.err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_parser_choices_match_the_library():
+    # the parser spells them out so that building it loads neither module
+    from morphlens import morph_eval, stats
+
+    assert cli._ALIGN_MODES == morph_eval.MODES
+    assert cli._ALTERNATIVES == list(stats._ALTERNATIVES)
+    # and every error they raise is an input error (exit 1)
+    assert issubclass(stats.StatsError, InputError)
+    assert issubclass(morph_eval.MorphEvalError, InputError)
+
+
+@pytest.mark.parametrize(
+    "argv, choices",
+    [
+        (["align", "refs.tsv", "--vocab", "v.tsv", "--mode", "x"],
+         "'full', 'morphscore-exclude', 'morphscore-credit', 'stem-suffix', 'suffix-suffix'"),
+        (["stats", "welch", "--in", "a", "b", "--alternative", "x"], "'two-sided', 'less', 'greater'"),
+    ],
+    ids=["align-mode", "stats-alternative"],
+)
+def test_invalid_choice_is_a_usage_error(capsys, argv, choices):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: morphlens ")
+    assert f"invalid choice: 'x' (choose from {choices})" in err
 
 
 def test_run_value_error_names_key_and_type(capsys, tmp_path, lang):

@@ -178,6 +178,56 @@ def test_package_imports_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+# the `morph_eval` names that `morphlens` resolves on first use
+MORPH_EVAL_NAMES = ["AlignmentResult", "SegmentationRef", "derive_subsets", "eval_full", "load_refs", "morphscore"]
+
+IMPORT_GRAPH = """
+import os, sys
+import morphlens, morphlens.cli
+main = morphlens.cli.main
+LAZY = {"morphlens.stats", "morphlens.morph_eval"}
+def loaded():
+    return LAZY & set(sys.modules)
+os.chdir(sys.argv[1])
+out = os.path.join(sys.argv[2], "out")
+assert loaded() == set(), loaded()
+assert main(["bigram", "alpha.txt", "--vocab", "alpha.tsv", "--out", out]) == 0
+assert main(["run", "--config", "run_tsv.ini", "--out", out]) == 0
+assert loaded() == set(), loaded()
+assert main(["stats", "welch", "--in", "g1_before.csv", "g2_before.csv", "--out", out]) == 0
+assert loaded() == {"morphlens.stats"}, loaded()
+assert main(["align", "refs.tsv", "--vocab", "alpha.tsv", "--out", out]) == 0
+assert loaded() == LAZY, loaded()
+"""
+
+
+def test_analysis_commands_do_not_load_stats_or_morph_eval(tmp_path):
+    # start-up pays only for the analysis path: `stats` and `align` load
+    # their modules when they run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH, golden, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the re-exported names load `morph_eval` on first use
+    code = (
+        "import sys, morphlens\n"
+        "assert 'morphlens.morph_eval' not in sys.modules\n"
+        f"from morphlens import {', '.join(MORPH_EVAL_NAMES)}\n"
+        "from morphlens import morph_eval\n"
+        f"for name in {MORPH_EVAL_NAMES!r}:\n"
+        "    assert getattr(morphlens, name) is getattr(morph_eval, name), name\n"
+        "    assert name in dir(morphlens), name\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        morphlens.no_such_name
+
+
 # VmHWM is the peak RSS of this process image only; ru_maxrss would also
 # count the RSS of the test process the child was forked from
 PEAK_RSS = """

@@ -4,10 +4,11 @@ metrics (mean word length, tokens per character)."""
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain
 from operator import add, truediv
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -69,22 +70,27 @@ def renyi_efficiency(freq: FrequencyTable, alpha: float = DEFAULT_RENYI_ALPHA) -
         h = h0
     else:
         s = sum((c / total) ** alpha for c in freq.counts.values())
-        h = math.log2(s) / (1.0 - alpha)
+        if s >= sys.float_info.min:
+            h = math.log2(s) / (1.0 - alpha)
+        else:  # underflow: factor out pmax, as the sum of (p / pmax)^alpha is >= 1
+            cmax = max(freq.counts.values())
+            rest = sum((c / cmax) ** alpha for c in freq.counts.values())
+            h = (alpha * math.log2(cmax / total) + math.log2(rest)) / (1.0 - alpha)
     return h / h0
 
 
 class UnigramStats:
     """Token-unigram and word metrics of a corpus fed a batch of spans at a
-    time, in memory that grows with the types and the MATTR window, not with
-    the tokens.
+    time, in memory that grows with the types, not with the tokens or the
+    MATTR window.
 
     Tokens are type ids from `interner`, which may be shared with other
     accumulators of the same pass; `add_spans` takes the id records of a
     batch of spans, and `add` interns one span's pieces first. Each batch is
-    folded as it arrives into per-id counts and an id-based MATTR window;
-    reading a metric changes nothing and maps ids back to strings. Every
-    count and sum is the one a single pass over the whole token list makes,
-    in the same order, so results are exact.
+    folded as it arrives into per-id counts, per-id last positions and the
+    MATTR gap sum (see `mattr`); reading a metric changes nothing and maps
+    ids back to strings. Every count and sum is the one a single pass over
+    the whole token list makes, in the same order, so results are exact.
     """
 
     def __init__(
@@ -98,11 +104,10 @@ class UnigramStats:
         self.interner = interner if interner is not None else Interner()
         self.tokens = 0  # ctc
         self._counts: List[int] = []  # per type id
-        # MATTR: the last `mattr_window` ids, their counts per type id,
-        # the distinct types among them, and that count summed over full windows
-        self._tail: List[int] = []
-        self._window: List[int] = []
-        self._distinct = self._distinct_sum = 0
+        # MATTR: each type id's last position (-1 when unseen), and the gap
+        # sum of the tokens so far (see `mattr`)
+        self._last: List[int] = []
+        self._gap_sum = 0
         self.words = 0
         self._word_chars = 0
         self._s_sum = 0.0
@@ -116,54 +121,36 @@ class UnigramStats:
         self, records: Sequence[Sequence[int]], words: Optional[Sequence[str]] = None
     ) -> None:
         """Add the id records of a batch of spans, in corpus order, to the
-        type counts and the MATTR window. `words`, when given, are the spans'
-        texts, which are words that count towards `mwl` and `s`."""
+        type counts and the MATTR gap sum. `words`, when given, are the
+        spans' texts, one per record, which are words that count towards
+        `mwl` and `s`."""
         if words is not None:
             if not all(words):
                 raise ValueError("words must be nonempty")
+            if len(words) != len(records):
+                raise ValueError(f"got {len(words)} words for {len(records)} spans")
             self.words += len(words)
             self._word_chars += sum(map(len, words))
             # plain left-to-right additions, as one span at a time makes
             # them; sum() of floats compensates on Python 3.12 and later
             self._s_sum = reduce(add, map(truediv, map(len, records), map(len, words)), self._s_sum)
         counts = self._counts
-        window = self._window
+        last = self._last
         new = len(self.interner.strings) - len(counts)
         if new > 0:
             counts += [0] * new
-            window += [0] * new
+            last += [-1] * new
         w = self.mattr_window
-        distinct = self._distinct
-        total = self._distinct_sum
-        # the tail is shorter than w only before the first full window, when
-        # positions in seq are positions in the corpus
-        seq = self._tail
-        start = len(seq)
-        seq += chain.from_iterable(records)
-        self.tokens += len(seq) - start
-        for tid in islice(seq, start, w):
+        total = self._gap_sum
+        i = self.tokens
+        for tid in chain.from_iterable(records):
             counts[tid] += 1
-            c = window[tid]
-            window[tid] = c + 1
-            if c == 0:
-                distinct += 1
-        if start < w <= len(seq):
-            total += distinct
-        # the id entering at position i >= w pushes out the one at i - w
-        for out, tid in zip(seq, islice(seq, w, None)):
-            counts[tid] += 1
-            c = window[out]
-            window[out] = c - 1
-            if c == 1:
-                distinct -= 1
-            c = window[tid]
-            window[tid] = c + 1
-            if c == 0:
-                distinct += 1
-            total += distinct
-        self._tail = seq[-w:]
-        self._distinct = distinct
-        self._distinct_sum = total
+            gap = i - last[tid]
+            total += gap if gap < w else w
+            last[tid] = i
+            i += 1
+        self.tokens = i
+        self._gap_sum = total
 
     def _nonempty(self) -> int:
         if not self.tokens:
@@ -181,12 +168,20 @@ class UnigramStats:
 
     def mattr(self) -> float:
         """Moving-average TTR over windows of `mattr_window` tokens (stride
-        1); plain TTR when fewer tokens than that were added."""
+        1); plain TTR when fewer tokens than that were added.
+
+        The token at i is the first of its type in min(i - prev(i), w)
+        windows (prev(i) = -1 for a new type), so the gap sum of those counts
+        totals the distinct types of every window, less those of the windows
+        starting past n - w: a type last seen at p > n - w is in p - (n - w)
+        of them."""
         n = self._nonempty()
         w = self.mattr_window
         if n < w:
             return sum(1 for c in self._counts if c) / n
-        return self._distinct_sum / (n - w + 1) / w
+        start = n - w
+        past = sum(p - start for p in self._last if p > start)
+        return (self._gap_sum - past) / (n - w + 1) / w
 
     def mtl(self) -> float:
         """Micro-average characters per token, boundary markers stripped."""

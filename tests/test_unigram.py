@@ -186,9 +186,12 @@ def test_renyi_entropy_decreasing_in_alpha():
     freq = table_of({"a": 10, "b": 5, "c": 2, "d": 1})
     h0 = math.log2(4)
     values = [
-        renyi_efficiency(freq, alpha) * h0 for alpha in (0.5, 1.0, 2.0, 2.5, 3.0)
+        renyi_efficiency(freq, alpha) * h0
+        for alpha in (0.5, 1.0, 2.0, 2.5, 3.0, 2000)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
+    # where (10/18)^2000 underflows, H_alpha is near the min-entropy limit
+    assert values[-1] / h0 == pytest.approx(-math.log2(10 / 18) / h0, abs=1e-3)
 
 
 # --- word metrics ----------------------------------------------------------
@@ -267,17 +270,26 @@ SPANS = st.lists(
 )
 
 
-@given(SPANS, st.integers(min_value=1, max_value=12))
+@given(SPANS, st.integers(min_value=1, max_value=12), st.data())
 @settings(max_examples=300, deadline=None)
-def test_stats_stream_equals_brute_force(spans, window):
-    # each add is folded on its own, so MATTR windows span add calls
-    spans = [(pieces, word) for pieces, word, _ in spans]
-    tokens = [t for pieces, _ in spans for t in pieces]
+def test_stats_stream_equals_brute_force(spans, window, data):
+    # the spans go in as batches of drawn sizes, each folded on its own, so
+    # a batch boundary may fall anywhere relative to a window or to a type's
+    # previous occurrence; a batch in which some span has no word adds none
+    tokens = [t for pieces, _, _ in spans for t in pieces]
     if not tokens:
         return
     stats = UnigramStats(window)
-    for pieces, word in spans:
-        stats.add(pieces, word)
+    fed = []
+    while len(fed) < len(spans):
+        size = data.draw(st.integers(min_value=1, max_value=len(spans) - len(fed)))
+        batch = spans[len(fed) : len(fed) + size]
+        words = [word for _, word, _ in batch]
+        if None in words:
+            words = None
+        stats.add_spans([stats.interner.intern(pieces) for pieces, _, _ in batch], words)
+        fed += [(pieces, word if words else None) for pieces, word, _ in batch]
+    spans = fed
     got = {
         "tokens": stats.tokens,
         "mattr": stats.mattr(),
@@ -310,6 +322,8 @@ def test_add_spans_words_and_reads():
     a, b, c = stats.interner.intern(["▁a", "b", "c"])
     with pytest.raises(ValueError, match="words must be nonempty"):
         stats.add_spans([[a], [b]], ["x", ""])
+    with pytest.raises(ValueError, match="2 words for 1 spans"):
+        stats.add_spans([[a]], ["xy", "z"])
     # without words, tokens count but no word metric moves
     stats.add_spans([[a, b], [c]])
     assert (stats.tokens, stats.words, stats.mwl(), stats.s()) == (3, 0, 0.0, 0.0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, ClassVar, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
@@ -44,11 +44,13 @@ class VocabularyError(InputError):
 class Vocabulary:
     """Immutable piece -> natural-log-probability table.
 
-    `boundary_marker` is `DEFAULT_MARKER` (U+2581) or None, and
-    `load_vocab` sets it when any piece contains that character;
+    `boundary_marker` is worked out from the pieces: `DEFAULT_MARKER`
+    (U+2581) when any piece contains that character, and None otherwise;
     segmentation then prepends it to pretokens, so third-party vocabularies
-    load unchanged. No other marker can be configured, and the unknown piece
-    is always `DEFAULT_UNK` (`<unk>`). Empty pieces are rejected.
+    load unchanged. Neither it nor the unknown piece, always `DEFAULT_UNK`
+    (`<unk>`), can be configured, so pieces built in code segment exactly as
+    the same pieces loaded by `load_vocab`. Empty pieces and non-finite
+    scores are rejected.
 
     Segmentation walks a piece trie built from `pieces` once per instance,
     at the first segmentation, so `pieces` must not be mutated after that.
@@ -57,7 +59,7 @@ class Vocabulary:
     """
 
     pieces: Dict[str, float]
-    boundary_marker: Optional[str] = None
+    boundary_marker: Optional[str] = field(init=False)
     unk_piece: ClassVar[str] = DEFAULT_UNK
 
     def __post_init__(self):
@@ -65,10 +67,10 @@ class Vocabulary:
             raise VocabularyError("vocabulary is empty")
         if "" in self.pieces:
             raise VocabularyError("empty piece")
-        if self.boundary_marker not in (None, DEFAULT_MARKER):
-            raise VocabularyError(
-                f"boundary marker must be {DEFAULT_MARKER!r} or None, got {self.boundary_marker!r}"
-            )
+        for piece, score in self.pieces.items():
+            if not math.isfinite(score):
+                raise VocabularyError(f"non-finite score {score!r} for piece {piece!r}")
+        self.boundary_marker = DEFAULT_MARKER if any(DEFAULT_MARKER in p for p in self.pieces) else None
 
     @cached_property
     def _trie(self) -> _Trie:
@@ -127,11 +129,10 @@ class Vocabulary:
 
 
 def load_vocab(path: Union[str, os.PathLike]) -> Vocabulary:
-    """Load a TSV vocabulary. Its boundary marker is `DEFAULT_MARKER` when
-    any piece contains that character, and None otherwise; the unknown piece
-    is `DEFAULT_UNK`. Duplicate pieces and non-numeric or non-finite scores
-    are errors, reported with their line number; invalid UTF-8 is an error
-    reported with its byte offset."""
+    """Load a TSV vocabulary (see `Vocabulary` for its marker). Duplicate
+    pieces and non-numeric or non-finite scores are errors, reported with
+    their line number; invalid UTF-8 is an error reported with its byte
+    offset."""
     pieces: Dict[str, float] = {}
     text = read_text(path, VocabularyError)
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -156,8 +157,7 @@ def load_vocab(path: Union[str, os.PathLike]) -> Vocabulary:
         if not math.isfinite(score):
             raise VocabularyError(f"{path}:{lineno}: non-finite score {score_str!r}")
         pieces[piece] = score
-    uses_marker = any(DEFAULT_MARKER in piece for piece in pieces)
-    return Vocabulary(pieces=pieces, boundary_marker=DEFAULT_MARKER if uses_marker else None)
+    return Vocabulary(pieces)
 
 
 def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:

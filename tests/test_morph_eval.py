@@ -244,7 +244,7 @@ def test_morphscore_credit_counts_in_vocab():
 
 
 def test_morphscore_marker_prefixed_vocab_hit():
-    vocab = Vocabulary(pieces={"▁gathered": -1.0}, boundary_marker="▁")
+    vocab = Vocabulary(pieces={"▁gathered": -1.0})
     result = morphscore(
         fixed_segmenter({}),
         [ref("gathered", "gather", "ed")],

@@ -261,8 +261,7 @@ thresholds = st.sampled_from([1, 2, 3, 5, 8, 1 << 15])
 def test_analyze_language_matches_per_token_oracle(
     pieces, corpus, pretokenized, greedy, window, stride, mattr_window, alpha, flush_pairs
 ):
-    marker = "▁" if any("▁" in p for p in pieces) else None
-    vocab = Vocabulary(pieces=pieces, boundary_marker=marker)
+    vocab = Vocabulary(pieces=pieces)
     settings_ = dict(window=window, stride=stride, mattr_window=mattr_window, alpha=alpha,
                      pretokenized=pretokenized, greedy=greedy)
     want = oracle(corpus, vocab, **settings_)
@@ -278,7 +277,7 @@ def test_analyze_language_matches_per_token_oracle(
 def test_oracle_sees_repeats_unk_and_both_modes():
     # a hand case the generated ones cover only by chance: repeated
     # pretokens (cache hits), an `<unk>` character, an empty line, a snapshot
-    vocab = Vocabulary(pieces={"▁ab": -1.0, "c": -2.0, "▁a": -2.5, "b": -3.0}, boundary_marker="▁")
+    vocab = Vocabulary(pieces={"▁ab": -1.0, "c": -2.0, "▁a": -2.5, "b": -3.0})
     corpus = ["ab abc abc", "", "abq ab abc", "abc ab"]
     for pretokenized in (True, False):
         s = dict(window=2, stride=1, mattr_window=3, alpha=2.5, pretokenized=pretokenized, greedy=False)
@@ -302,7 +301,6 @@ def test_analyze_language_across_batch_boundaries(
 ):
     vocab = Vocabulary(
         pieces={"▁ab": -2.0, "▁a": -2.5, "b": -1.0, "c": -1.5, "a": -1.0, "▁": -3.0, "▁c": -2.0, "ca": -2.0},
-        boundary_marker="▁",
     )
     lines = boundary_lines(n)
     s = dict(window=5, stride=2, mattr_window=7, alpha=2.5, pretokenized=pretokenized, greedy=greedy)

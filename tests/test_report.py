@@ -21,7 +21,7 @@ from morphlens.report import (
     load_config,
     run,
 )
-from morphlens.corpus import Corpus, CorpusError
+from morphlens.corpus import Corpus, CorpusError, read_lines
 from morphlens.tokenizer import Vocabulary, load_vocab, segment_viterbi
 
 
@@ -143,6 +143,29 @@ def test_analyze_language_populates_everything():
     assert 0 <= m.renyi <= 1
     assert m.mwl > 0 and m.s > 0
     assert m.bigram.macro_av is not None
+
+
+@pytest.mark.parametrize(
+    "vocab_name, corpus_name",
+    [
+        ("alpha.tsv", "alpha.txt"),
+        ("beta.tsv", "beta.txt"),
+        ("mixed.tsv", "mixed.txt"),
+        ("joined.tsv", "alpha.txt"),
+        ("plain.tsv", "alpha.txt"),
+    ],
+)
+@pytest.mark.parametrize("pretokenized", [True, False], ids=["pretokenized", "wholeline"])
+def test_vocabulary_built_in_code_equals_loaded(vocab_name, corpus_name, pretokenized):
+    # the same pieces segment alike however the vocabulary is built
+    loaded = load_vocab(os.path.join(GOLDEN, vocab_name))
+    built = Vocabulary(pieces=dict(loaded.pieces))
+    assert built.boundary_marker == loaded.boundary_marker
+    assert built._cut_separator == loaded._cut_separator
+    corpus = read_lines(os.path.join(GOLDEN, corpus_name))
+    assert analyze_language(corpus, built, pretokenized=pretokenized) == analyze_language(
+        corpus, loaded, pretokenized=pretokenized
+    )
 
 
 def test_analyze_language_does_not_import_numpy():

@@ -108,11 +108,21 @@ def test_empty_piece_errors():
         Vocabulary(pieces={"": -1.0, "a": -2.0})
 
 
-@pytest.mark.parametrize("marker", ["@@", ""])
-def test_vocabulary_rejects_other_markers(marker):
-    # the boundary marker is ▁ or absent; no other can be configured
-    with pytest.raises(VocabularyError, match="boundary marker"):
-        Vocabulary(pieces={"a": -1.0}, boundary_marker=marker)
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+def test_vocabulary_rejects_nonfinite_scores(score):
+    # a NaN piece would never be chosen, an infinite one always or never
+    with pytest.raises(VocabularyError, match="non-finite score .* for piece 'ab'"):
+        Vocabulary(pieces={"ab": score, "a": -1.0, "b": -1.0})
+
+
+def test_vocabulary_boundary_marker_is_not_a_field():
+    # the marker is worked out from the pieces, as `load_vocab` always did
+    assert Vocabulary(pieces={"a▁": -1.0}).boundary_marker == "▁"
+    assert Vocabulary(pieces={"a": -1.0}).boundary_marker is None
+    # a marker no piece holds would add one <unk> per word
+    assert segment_viterbi("a", Vocabulary(pieces={"a": -1.0})) == ["a"]
+    with pytest.raises(TypeError):
+        Vocabulary(pieces={"a": -1.0}, boundary_marker="▁")
 
 
 def test_vocabulary_unk_piece_is_not_a_field():
@@ -259,20 +269,27 @@ def reference_greedy(pretoken, vocab):
 
 # Integer-valued scores make exact (score, token count) ties common, so the
 # lattice's path-rebuild tie-break runs often; "x" is in no piece, so covers
-# need <unk> gaps, and "▁" is the boundary marker when the vocabulary has one.
-@given(
-    pieces=st.dictionaries(
-        st.text(alphabet="abc▁", min_size=1, max_size=4),
+# need <unk> gaps. Half the vocabularies hold a "▁" piece, so "▁" is their
+# boundary marker; the other half hold no "▁" and have none.
+def lattice_pieces(alphabet):
+    return st.dictionaries(
+        st.text(alphabet=alphabet, min_size=1, max_size=4),
         st.sampled_from([-1.0, -2.0, -3.0]),
         min_size=1,
         max_size=12,
+    )
+
+
+@given(
+    pieces=st.one_of(
+        lattice_pieces("abc"),
+        lattice_pieces("abc▁").filter(lambda pieces: any("▁" in p for p in pieces)),
     ),
-    marker=st.booleans(),
     text=st.text(alphabet="abcx▁", min_size=1, max_size=14),
 )
 @settings(max_examples=500, deadline=None)
-def test_lattice_matches_reference(pieces, marker, text):
-    vocab = Vocabulary(pieces=pieces, boundary_marker="▁" if marker else None)
+def test_lattice_matches_reference(pieces, text):
+    vocab = Vocabulary(pieces=pieces)
     assert segment_viterbi(text, vocab) == reference_viterbi(text, vocab)
     assert segment_greedy(text, vocab) == reference_greedy(text, vocab)
 
@@ -435,7 +452,7 @@ def test_round_trip_random_strings():
 
 
 def test_tokenize_one_token_per_word():
-    vocab = Vocabulary(pieces={"▁a": -1.0, "▁b": -1.0}, boundary_marker="▁")
+    vocab = Vocabulary(pieces={"▁a": -1.0, "▁b": -1.0})
     lines = line_spans(tokenize_corpus(Corpus.from_lines(["a b"]), vocab))
     assert lines == [("a b", [("a", ["▁a"]), ("b", ["▁b"])])]
 
@@ -460,7 +477,7 @@ def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, records, c
 
     monkeypatch.setattr(tokenizer, "segment_viterbi", segment)
     corpus = Corpus.from_lines(["a b c", "a b c"])
-    vocab = Vocabulary(pieces={"▁a": -1.0}, boundary_marker="▁")
+    vocab = Vocabulary(pieces={"▁a": -1.0})
     lines = line_spans(tokenize_corpus(corpus, vocab, pretokenized=pretokenized))
     assert [pieces for _, spans in lines for _, pieces in spans] == records * 2
     assert seen == calls
@@ -482,7 +499,7 @@ def test_tokenize_non_pretokenized_single_span():
 
 
 def test_tokenize_non_pretokenized_marks_only_spaces():
-    vocab = Vocabulary(pieces={"▁": -1.0, "a": -1.0, "\t": -1.0}, boundary_marker="▁")
+    vocab = Vocabulary(pieces={"▁": -1.0, "a": -1.0, "\t": -1.0})
     lines = line_spans(
         tokenize_corpus(Corpus.from_lines(["a a\ta"]), vocab, pretokenized=False)
     )
@@ -506,13 +523,18 @@ def wholeline_cases(draw):
     marker = draw(st.booleans())
     sep = "▁" if marker else " "
     scores = st.sampled_from(draw(st.sampled_from([INTEGER_SCORES, [-0.1, -0.2, -10.0]])))
-    body = st.text("ab\t▁ ".replace(sep, ""), max_size=3)
+    # a marker vocabulary holds a "▁" piece; a plain one holds no "▁" at all
+    body = st.text("ab\t " if marker else "ab\t", max_size=3)
     piece = st.builds(operator.add, st.sampled_from(["", sep]), body).filter(bool)
-    pieces = draw(st.dictionaries(piece, scores, min_size=1, max_size=10))
+    pieces = draw(
+        st.dictionaries(piece, scores, min_size=1, max_size=10).filter(
+            lambda pieces: not marker or any(sep in p for p in pieces)
+        )
+    )
     if draw(st.booleans()):
         pieces[draw(st.text("ab", min_size=1, max_size=2)) + sep + draw(body)] = draw(scores)
     lines = draw(st.lists(st.text("abx \t▁", max_size=16), max_size=5))
-    return Vocabulary(pieces=pieces, boundary_marker="▁" if marker else None), lines
+    return Vocabulary(pieces=pieces), lines
 
 
 def segment_by_chunks(text, vocab, segment):
@@ -549,26 +571,24 @@ def test_tokenize_wholeline_scores_each_chunk_from_zero():
     # in the chunk ▁ab, ▁a b and ▁ ab both score -10.2 and the tie-break
     # picks ▁ ab; one call on the whole line adds them to ▁q's -0.1 first,
     # where the two sums round apart
-    vocab = Vocabulary(
-        pieces={"▁q": -0.1, "▁a": -10.0, "b": -0.2, "▁": -0.2, "ab": -10.0}, boundary_marker="▁"
-    )
+    vocab = Vocabulary(pieces={"▁q": -0.1, "▁a": -10.0, "b": -0.2, "▁": -0.2, "ab": -10.0})
     lines = line_spans(tokenize_corpus(Corpus.from_lines(["q ab"]), vocab, pretokenized=False))
     assert lines == [("q ab", [("q▁ab", ["▁q", "▁", "ab"])])]
     assert segment_viterbi("q▁ab", vocab) == ["▁q", "▁a", "b"]
 
 
 @pytest.mark.parametrize(
-    "pieces, marker, line, span",
+    "pieces, line, span",
     [
-        ({"▁": -1.0, "▁a": -1.0, "▁b": -1.0, "a▁b": -0.5}, "▁", "a b", ("a▁b", ["▁", "a▁b"])),
-        ({"a": -1.0, " b": -1.0, "a b": -0.5}, None, "a b", ("a b", ["a b"])),
+        ({"▁": -1.0, "▁a": -1.0, "▁b": -1.0, "a▁b": -0.5}, "a b", ("a▁b", ["▁", "a▁b"])),
+        ({"a": -1.0, " b": -1.0, "a b": -0.5}, "a b", ("a b", ["a b"])),
     ],
     ids=["marker", "space"],
 )
-def test_tokenize_wholeline_piece_across_separator(pieces, marker, line, span):
+def test_tokenize_wholeline_piece_across_separator(pieces, line, span):
     # a piece covers a separator it does not start with, so the line is not
     # cut there; cut, it would be ▁a ▁b, or a " b"
-    vocab = Vocabulary(pieces=pieces, boundary_marker=marker)
+    vocab = Vocabulary(pieces=pieces)
     lines = line_spans(tokenize_corpus(Corpus.from_lines([line]), vocab, pretokenized=False))
     assert lines == [(line, [span])]
 
@@ -590,7 +610,7 @@ BOUNDARY_VOCABS = {
 @pytest.mark.parametrize("greedy", [False, True], ids=["viterbi", "greedy"])
 @pytest.mark.parametrize("pieces", list(BOUNDARY_VOCABS.values()), ids=list(BOUNDARY_VOCABS))
 def test_tokenize_batches_equal_one_line_at_a_time(boundary_lines, n, pretokenized, greedy, pieces):
-    vocab = Vocabulary(pieces=pieces, boundary_marker="▁")
+    vocab = Vocabulary(pieces=pieces)
     segment = segment_greedy if greedy else segment_viterbi
     lines = boundary_lines(n)
     interner = Interner()

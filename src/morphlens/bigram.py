@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, pairwise
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import InputError
 from .pretokenize import is_lexical
@@ -277,8 +276,7 @@ def _side_metrics(
     return out
 
 
-@dataclass
-class TypeMetrics:
+class TypeMetrics(NamedTuple):
     type: str
     f: int
     av_l: float
@@ -308,8 +306,7 @@ class TypeMetrics:
         return (self.eta_l + self.eta_r) / 2
 
 
-@dataclass
-class BigramReport:
+class BigramReport(NamedTuple):
     types: List[TypeMetrics]
     lr: float
     retained_count: int

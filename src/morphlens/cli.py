@@ -21,11 +21,9 @@ other commands never load them.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional
 
@@ -169,6 +167,9 @@ _STATS_ARITY = {
 
 
 def cmd_stats(args) -> List[str]:
+    import json
+    from dataclasses import asdict
+
     from . import stats
 
     n_files, message = _STATS_ARITY[args.test]

@@ -9,7 +9,6 @@ hard error (byte premiums and character counts must be exact).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Type, Union
 
@@ -103,7 +102,6 @@ def line_batches(lines: Iterator[str]) -> Iterator[List[str]]:
         yield batch
 
 
-@dataclass
 class Corpus:
     """A deterministic, re-iterable source of text lines.
 
@@ -111,8 +109,11 @@ class Corpus:
     in-memory list of lines (e.g. the result of sampling).
     """
 
-    path: Optional[Union[str, os.PathLike]] = None
-    _lines: Optional[List[str]] = field(default=None, repr=False)
+    def __init__(
+        self, path: Optional[Union[str, os.PathLike]] = None, _lines: Optional[List[str]] = None
+    ) -> None:
+        self.path = path
+        self._lines = _lines
 
     def lines(self) -> Iterator[str]:
         if self._lines is not None:
@@ -129,13 +130,24 @@ class Corpus:
         return cls(path=None, _lines=list(lines))
 
 
-@dataclass
 class CorpusCounts:
-    ccc: int = 0  # characters (Unicode scalar values, terminators excluded)
-    cbc: int = 0  # UTF-8 bytes, terminators excluded
-    cwc: int = 0  # pretokens, 0 when no pretokenizer given
-    csc: int = 0  # lines
-    ctc: Optional[int] = None  # tokens, present only after tokenization
+    """Corpus size counts: `vars(counts)` is the five counts, in report
+    column order. Counts are equal when all five are."""
+
+    def __init__(self) -> None:
+        self.ccc = 0  # characters (Unicode scalar values, terminators excluded)
+        self.cbc = 0  # UTF-8 bytes, terminators excluded
+        self.cwc = 0  # pretokens, 0 when no pretokenizer given
+        self.csc = 0  # lines
+        self.ctc: Optional[int] = None  # tokens, present only after tokenization
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CorpusCounts):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return f"CorpusCounts({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def add(self, lines: List[str]) -> None:
         """Count a batch of lines: csc, ccc and cbc."""

@@ -25,11 +25,9 @@ one failing language marks its row failed without killing the batch.
 from __future__ import annotations
 
 import configparser
-import json
 import math
 import os
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from .bigram import DEFAULT_WINDOW, BigramReport, BigramTables
 from .corpus import Corpus, CorpusCounts, CorpusError, read_lines, read_text
@@ -46,16 +44,14 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class LanguageSpec:
+class LanguageSpec(NamedTuple):
     name: str
     corpus: str
     vocab: str
     grouping: str = ""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     languages: List[LanguageSpec]
     window: int = DEFAULT_WINDOW
     stride: int = 1
@@ -92,7 +88,7 @@ class RunConfig:
                     )
 
 
-_RUN_KEYS = {f.name for f in fields(RunConfig)} - {"languages"}
+_RUN_KEYS = set(RunConfig._fields) - {"languages"}
 
 
 def load_config(path: Union[str, os.PathLike]) -> RunConfig:
@@ -129,9 +125,9 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         )
 
     settings = {
-        f.name: _parse_run_value(f.name, run[f.name], type(f.default))
-        for f in fields(RunConfig)
-        if f.name in run
+        key: _parse_run_value(key, run[key], type(default))
+        for key, default in RunConfig._field_defaults.items()
+        if key in run
     }
     config = RunConfig(languages=languages, **settings)
     config.validate()
@@ -173,8 +169,7 @@ def _parse_run_value(key: str, raw: str, kind: type):
 # Single-language pipeline
 
 
-@dataclass
-class LanguageMetrics:
+class LanguageMetrics(NamedTuple):
     counts: CorpusCounts
     bigram: BigramReport
     mattr: float
@@ -237,17 +232,15 @@ _COUNT_COLUMNS = ("ccc", "cbc", "cwc", "csc", "ctc")
 _NUMERIC_COLUMNS = ("av", "eta", "au", "lr", "mattr", "mtl", "re", "s", "mwl") + _COUNT_COLUMNS
 
 
-@dataclass
-class ReportRow:
+class ReportRow(NamedTuple):
     language: str
-    grouping: str = ""
+    grouping: str
+    values: Dict[str, Optional[float]]  # no default, so no two rows share one dict
     status: str = "ok"
     error: str = ""
-    values: Dict[str, Optional[float]] = field(default_factory=dict)
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     rows: List[ReportRow]
     sort_key: str = "eta"
 
@@ -303,12 +296,7 @@ def run(config: RunConfig) -> ComparisonReport:
             )
             return _row_from_metrics(spec, metrics)
         except Exception as e:  # isolate per-language failures
-            return ReportRow(
-                language=spec.name,
-                grouping=spec.grouping,
-                status="failed",
-                error=f"{type(e).__name__}: {e}",
-            )
+            return ReportRow(spec.name, spec.grouping, {}, "failed", f"{type(e).__name__}: {e}")
 
     rows = [one(spec) for spec in config.languages]
     return ComparisonReport(rows=rows, sort_key=config.sort_by)
@@ -330,6 +318,8 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
 
     rows = report.sorted_rows()
     if format == "json":
+        import json
+
         payload = [
             {
                 "language": row.language,

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import Callable, ClassVar, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
 from .corpus import Corpus, InputError, line_batches, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize_lines
@@ -26,8 +25,10 @@ _UNK_SCORE = -1.0e6
 
 # `tokenize_corpus` caches at most this many distinct pretokens, or
 # whole-line chunks, per call, so memory stays bounded when a corpus keeps
-# bringing new word types.
+# bringing new word types, and none longer than the key cap: on text without
+# spaces a chunk is a whole line, which seldom repeats.
 _SEGMENT_CACHE_MAX = 1 << 16
+_SEGMENT_CACHE_KEY_MAX = 64
 
 DEFAULT_UNK = "<unk>"
 
@@ -40,7 +41,6 @@ class VocabularyError(InputError):
     """Raised for malformed or inconsistent vocabulary files."""
 
 
-@dataclass
 class Vocabulary:
     """Immutable piece -> natural-log-probability table.
 
@@ -58,19 +58,18 @@ class Vocabulary:
     `unk_piece`).
     """
 
-    pieces: Dict[str, float]
-    boundary_marker: Optional[str] = field(init=False)
-    unk_piece: ClassVar[str] = DEFAULT_UNK
+    unk_piece = DEFAULT_UNK
 
-    def __post_init__(self):
-        if not self.pieces:
+    def __init__(self, pieces: Dict[str, float]) -> None:
+        if not pieces:
             raise VocabularyError("vocabulary is empty")
-        if "" in self.pieces:
+        if "" in pieces:
             raise VocabularyError("empty piece")
-        for piece, score in self.pieces.items():
+        for piece, score in pieces.items():
             if not math.isfinite(score):
                 raise VocabularyError(f"non-finite score {score!r} for piece {piece!r}")
-        self.boundary_marker = DEFAULT_MARKER if any(DEFAULT_MARKER in p for p in self.pieces) else None
+        self.pieces = pieces
+        self.boundary_marker = DEFAULT_MARKER if any(DEFAULT_MARKER in p for p in pieces) else None
 
     @cached_property
     def _trie(self) -> _Trie:
@@ -360,10 +359,11 @@ def tokenize_corpus(
     Pretokenized mode gives one span per pretoken, segmented on its own
     (bigram statistics then stay within words). Each distinct pretoken is
     segmented and recorded once per call, in corpus order, and equal
-    pretokens share that cached record, so callers must not mutate it; the
-    cache stops growing at a fixed number of distinct pretokens (later ones
-    are segmented and recorded at every occurrence), and it is freed when
-    the generator is exhausted.
+    pretokens share that cached record, so callers must not mutate it. The
+    cache holds no pretoken longer than a fixed number of characters and
+    stops growing at a fixed number of distinct pretokens; the others are
+    segmented and recorded at every occurrence. It is freed when the
+    generator is exhausted.
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
@@ -421,7 +421,9 @@ def _records(
 ) -> List[List[T]]:
     """The records of `keys`, in order, from `cache`. Misses are made and
     cached in key order, so records are made in the order one key at a time
-    would make them; the cache stops growing at `_SEGMENT_CACHE_MAX`."""
+    would make them. Only keys of at most `_SEGMENT_CACHE_KEY_MAX`
+    characters are cached, and the cache stops growing at
+    `_SEGMENT_CACHE_MAX` entries."""
     records = list(map(cache.get, keys))
     i = 0
     while True:
@@ -434,7 +436,7 @@ def _records(
         rec = cache.get(key)
         if rec is None:
             rec = make(key)
-            if len(cache) < _SEGMENT_CACHE_MAX:
+            if len(key) <= _SEGMENT_CACHE_KEY_MAX and len(cache) < _SEGMENT_CACHE_MAX:
                 cache[key] = rec
         records[i] = rec
         i += 1

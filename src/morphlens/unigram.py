@@ -6,11 +6,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add, truediv
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 from .tokenizer import Interner, strip_marker
 
@@ -18,8 +17,7 @@ DEFAULT_MATTR_WINDOW = 500
 DEFAULT_RENYI_ALPHA = 2.5
 
 
-@dataclass
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     counts: Dict[str, int]
     total: int
 

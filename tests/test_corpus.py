@@ -4,6 +4,7 @@ import pytest
 
 from morphlens.corpus import (
     Corpus,
+    CorpusCounts,
     CorpusError,
     byte_premium,
     corpus_counts,
@@ -73,6 +74,18 @@ def test_read_text_offset_counts_byte_order_mark(tmp_path):
 def test_missing_file_fails_fast(tmp_path):
     with pytest.raises(CorpusError, match="not found"):
         read_lines(tmp_path / "nope.txt")
+
+
+def test_corpus_counts_attributes_and_equality():
+    # the benchmark reads `vars(counts)` as the five counts, in column order
+    counts = CorpusCounts()
+    assert list(vars(counts)) == ["ccc", "cbc", "cwc", "csc", "ctc"]
+    assert counts == CorpusCounts()
+    counts.add(["ab", "é"])
+    assert vars(counts) == {"ccc": 3, "cbc": 4, "cwc": 0, "csc": 2, "ctc": None}
+    assert counts != CorpusCounts()
+    assert counts == corpus_counts(Corpus.from_lines(["ab", "é"]))
+    assert counts != vars(counts)
 
 
 def test_sample_all_lines_in_order():

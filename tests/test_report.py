@@ -16,6 +16,7 @@ from morphlens.report import (
     LanguageSpec,
     ReportRow,
     RunConfig,
+    _RUN_KEYS,
     analyze_language,
     emit,
     load_config,
@@ -105,6 +106,14 @@ def test_load_config_missing_corpus_path(tmp_path):
         load_config(
             write_config(tmp_path, "[language:X]\ncorpus = no.txt\nvocab = no.tsv\n")
         )
+
+
+def test_run_keys_are_the_config_fields_but_languages():
+    # `load_config` parses each key as the type of its default
+    assert _RUN_KEYS == set(RunConfig._fields) - {"languages"} == set(RunConfig._field_defaults)
+    assert _RUN_KEYS == {
+        "window", "stride", "mattr_window", "alpha", "pretokenized", "greedy", "percent", "format", "sort_by"
+    }
 
 
 def test_config_no_languages():
@@ -206,17 +215,24 @@ MORPH_EVAL_NAMES = ["AlignmentResult", "SegmentationRef", "derive_subsets", "eva
 
 IMPORT_GRAPH = """
 import os, sys
+# a site hook may have loaded some of these already
+before = set(sys.modules)
 import morphlens, morphlens.cli
 main = morphlens.cli.main
 LAZY = {"morphlens.stats", "morphlens.morph_eval"}
+HEAVY = {"dataclasses", "inspect", "json"}
 def loaded():
     return LAZY & set(sys.modules)
+def heavy():
+    return HEAVY & (set(sys.modules) - before)
 os.chdir(sys.argv[1])
 out = os.path.join(sys.argv[2], "out")
 assert loaded() == set(), loaded()
+assert heavy() == set(), heavy()
 assert main(["bigram", "alpha.txt", "--vocab", "alpha.tsv", "--out", out]) == 0
 assert main(["run", "--config", "run_tsv.ini", "--out", out]) == 0
 assert loaded() == set(), loaded()
+assert heavy() == set(), heavy()
 assert main(["stats", "welch", "--in", "g1_before.csv", "g2_before.csv", "--out", out]) == 0
 assert loaded() == {"morphlens.stats"}, loaded()
 assert main(["align", "refs.tsv", "--vocab", "alpha.tsv", "--out", out]) == 0
@@ -226,7 +242,8 @@ assert loaded() == LAZY, loaded()
 
 def test_analysis_commands_do_not_load_stats_or_morph_eval(tmp_path):
     # start-up pays only for the analysis path: `stats` and `align` load
-    # their modules when they run
+    # their modules when they run, and neither the package nor `bigram` or a
+    # TSV `run` loads `dataclasses` (with `inspect`, about 10 ms) or `json`
     src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     env = dict(os.environ, PYTHONPATH=src)
@@ -410,6 +427,16 @@ def test_run_failure_isolation(tmp_path):
     assert by_name["Bad"].status == "failed"
     assert by_name["Bad"].error
     assert report.failed
+
+
+def test_run_failed_rows_have_their_own_values(tmp_path):
+    _, va = write_language(tmp_path, "la", CORPUS_A, VOCAB_A)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff")
+    spec = LanguageSpec("F", str(bad), str(va))
+    first, second = run(RunConfig(languages=[spec, spec], window=8, mattr_window=10)).rows
+    assert first.values == second.values == {}
+    assert first.values is not second.values
 
 
 def test_run_sorts_by_key_failed_last(tmp_path):

@@ -483,6 +483,38 @@ def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, records, c
     assert seen == calls
 
 
+@pytest.mark.parametrize(
+    "pretokenized, cap, calls",
+    [
+        # "ab" is cached, "abc" is longer than the cap and segmented each time
+        (True, 2, ["ab", "abc", "abc", "abc"]),
+        # whole-line chunks start with the marker, which counts towards the cap
+        (False, 3, ["▁ab", "▁abc", "▁abc", "▁abc"]),
+    ],
+    ids=["pretokenized", "wholeline"],
+)
+def test_tokenize_segment_cache_skips_long_keys(monkeypatch, pretokenized, cap, calls):
+    corpus = Corpus.from_lines(["ab abc", "abc ab abc"])
+    vocab = Vocabulary(pieces={"▁a": -1.0, "a": -1.5, "b": -1.0, "c": -1.0, "▁abc": -2.5})
+    want = line_spans(tokenize_corpus(corpus, vocab, pretokenized=pretokenized))
+    monkeypatch.setattr(tokenizer, "_SEGMENT_CACHE_KEY_MAX", cap)
+    seen = []
+
+    def segment(key, vocab):
+        seen.append(key)
+        return segment_viterbi(key, vocab)
+
+    monkeypatch.setattr(tokenizer, "segment_viterbi", segment)
+    assert line_spans(tokenize_corpus(corpus, vocab, pretokenized=pretokenized)) == want
+    assert seen == calls
+    # a long key is never stored, and each occurrence gets its own record
+    cache = {}
+    records = tokenizer._records(calls, cache, lambda key: [key])
+    assert records == [[key] for key in calls]
+    assert list(cache) == [calls[0]]
+    assert records[1] is not records[2]
+
+
 def test_tokenize_empty_corpus():
     vocab = vocab_of(a=-1.0)
     for pretokenized in (True, False):

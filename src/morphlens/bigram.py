@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import chain, pairwise
+from math import log2
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -246,34 +247,33 @@ class AccessorState:
         return self.dummies / total if total else 0.0
 
 
-def _side_metrics(
-    states: List[AccessorState], pool: int, lifetime_eta: bool
-) -> List[Tuple[float, float, float, float]]:
-    """(AV, AU, eta, BR) of each state: `windowed_av`, `windowed_au`,
+def _side(st: AccessorState, pool: int, lifetime_eta: bool) -> Tuple[float, float, float, float]:
+    """(AV, AU, eta, BR) of one state: `windowed_av`, `windowed_au`,
     `windowed_eta` (or `lifetime_eta`) and `boundary_ratio` inlined, with the
-    same float operations in the same order. eta is 0 for an empty pool."""
-    log2 = math.log2
-    out = []
-    for st in states:
-        snapshots = st.snapshots
-        if snapshots:
-            av = st.av_sum / snapshots
-            au = av / st.capacity
-            h = st.h_sum / snapshots
-            n = st.capacity
-        else:
-            n = len(st.window)
-            av = float(len(st.counts))
-            au = av / n if n else 0.0
-            h = max(0.0, log2(n) - st.entropy_acc / n) if n else 0.0
-        if lifetime_eta:
-            eta = st.lifetime_eta(pool) if pool else 0.0
-        else:
-            m = min(pool, n)
-            eta = min(1.0, h / log2(m)) if m > 1 else 0.0
-        total = st.ta + st.dummies
-        out.append((av, au, eta, st.dummies / total if total else 0.0))
-    return out
+    same float operations in the same order (the clamps are conditional
+    expressions, not calls of `max` and `min`). eta is 0 for an empty pool."""
+    snapshots = st.snapshots
+    if snapshots:
+        av = st.av_sum / snapshots
+        n = st.capacity
+        au = av / n
+        h = st.h_sum / snapshots
+    else:
+        n = len(st.window)
+        av = float(len(st.counts))
+        au = h = 0.0
+        if n:
+            au = av / n
+            h = log2(n) - st.entropy_acc / n
+            h = h if h > 0.0 else 0.0
+    if lifetime_eta:
+        eta = st.lifetime_eta(pool) if pool else 0.0
+    else:
+        m = n if n < pool else pool
+        eta = h / log2(m) if m > 1 else 0.0
+        eta = eta if eta < 1.0 else 1.0
+    total = st.ta + st.dummies
+    return av, au, eta, st.dummies / total if total else 0.0
 
 
 class TypeMetrics(NamedTuple):
@@ -473,52 +473,43 @@ class BigramTables:
         (they still appear per-type and still count toward LR)."""
         self._flush()
         left, right, strings = self._left, self._right, self.type_strings
-        observed = [tid for tid, ls in enumerate(left) if ls.ta + ls.dummies > 0]
-        lexical = [tid for tid in observed if is_lexical(strings[tid])]
-        if not lexical:
-            raise MetricsError("no lexical types observed")
         pool_left, pool_right = self.pools()
+        lifetime_eta = self.lifetime_eta
+        new = tuple.__new__  # a record from one tuple, with no keyword parsing
 
         types: List[TypeMetrics] = []
         retained: List[TypeMetrics] = []
-        filtered_count = 0
-        sides = (
-            _side_metrics([left[tid] for tid in lexical], pool_left, self.lifetime_eta),
-            _side_metrics([right[tid] for tid in lexical], pool_right, self.lifetime_eta),
-        )
-        for tid, (av_l, au_l, eta_l, br_l), (av_r, au_r, eta_r, br_r) in zip(lexical, *sides):
-            ls, rs = left[tid], right[tid]
-            keep = min(br_l, br_r) < 0.95
-            tm = TypeMetrics(
-                type=strings[tid],
-                f=ls.ta + ls.dummies,
-                av_l=av_l,
-                av_r=av_r,
-                au_l=au_l,
-                au_r=au_r,
-                eta_l=eta_l,
-                eta_r=eta_r,
-                br_l=br_l,
-                br_r=br_r,
-                retained=keep,
-            )
+        lexical = filtered_count = 0
+        for tid, ls in enumerate(left):
+            f = ls.ta + ls.dummies
+            if not f or not is_lexical(strings[tid]):
+                continue
+            lexical += 1
+            rs = right[tid]
+            av_l, au_l, eta_l, br_l = _side(ls, pool_left, lifetime_eta)
+            av_r, au_r, eta_r, br_r = _side(rs, pool_right, lifetime_eta)
+            keep = br_l < 0.95 or br_r < 0.95
+            tm = new(TypeMetrics, (strings[tid], f, av_l, av_r, au_l, au_r, eta_l, eta_r, br_l, br_r, keep))
             types.append(tm)
             if keep:
                 if not full_windows_only or (ls.snapshots and rs.snapshots):
                     retained.append(tm)
             else:
                 filtered_count += 1
+        if not lexical:
+            raise MetricsError("no lexical types observed")
 
+        # sum() of the properties' values in their order: on Python 3.12 it
+        # is compensated, so a plain loop would differ in the last bits
         n = len(retained)
         return BigramReport(
             types=types,
-            lr=filtered_count / len(lexical),
+            lr=filtered_count / lexical,
             retained_count=n,
             filtered_count=filtered_count,
-            macro_av=sum(t.av_mean for t in retained) / n if n else None,
-            macro_av_min=sum(t.av_min for t in retained) / n if n else None,
-            macro_au=sum(t.au_mean for t in retained) / n if n else None,
-            macro_eta=sum(t.eta_mean for t in retained) / n if n else None,
-            degenerate=filtered_count == len(lexical),
+            macro_av=sum([(t.av_l + t.av_r) / 2 for t in retained]) / n if n else None,
+            macro_av_min=sum([min(t.av_l, t.av_r) for t in retained]) / n if n else None,
+            macro_au=sum([(t.au_l + t.au_r) / 2 for t in retained]) / n if n else None,
+            macro_eta=sum([(t.eta_l + t.eta_r) / 2 for t in retained]) / n if n else None,
+            degenerate=filtered_count == lexical,
         )
-

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import threading
 import unicodedata
-from typing import List
+from typing import Dict, List
 
 DEFAULT_MARKER = "▁"  # the low-line-block word-boundary convention
 
@@ -76,14 +76,22 @@ def _learn(text: str) -> None:
         _known.update(new)
 
 
+# Whether each character classified so far is lexical: filled on first use,
+# and only with fixed facts, so concurrent writers write the same values.
+_lexical_chars: Dict[str, bool] = {}
+
+
 def is_lexical(type_string: str, marker: str = DEFAULT_MARKER) -> bool:
     """False iff the string contains a Punctuation or decimal-digit (Nd)
     character. Leading word-boundary markers are ignored for classification;
     only category Nd counts as a digit (letter-numbers and other-numbers do
-    not)."""
+    not). Each distinct character is classified once per process."""
     stripped = type_string.lstrip(marker) if marker else type_string
     for ch in stripped:
-        cat = unicodedata.category(ch)
-        if cat.startswith("P") or cat == "Nd":
+        lexical = _lexical_chars.get(ch)
+        if lexical is None:
+            cat = unicodedata.category(ch)
+            lexical = _lexical_chars[ch] = not (cat.startswith("P") or cat == "Nd")
+        if not lexical:
             return False
     return True

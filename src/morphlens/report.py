@@ -115,6 +115,10 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         name = section.split(":", 1)[1]
         if "corpus" not in entry or "vocab" not in entry:
             raise ConfigError(f"{section}: needs 'corpus' and 'vocab' keys")
+        if any(c in name + entry.get("grouping", "") for c in "\t\r\n"):
+            raise ConfigError(
+                f"{section!r}: a name or grouping cannot hold a tab or line break, as TSV has no quoting"
+            )
         languages.append(
             LanguageSpec(
                 name=name,
@@ -303,9 +307,9 @@ def run(config: RunConfig) -> ComparisonReport:
 
 
 def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -> List[str]:
-    """Render a report as text lines, each without its newline: TSV/CSV with
-    4 decimal places, or indented JSON at full precision. Percent mode
-    scales the ratio-valued columns by 100."""
+    """Render a report as text lines, each without its newline: TSV, or CSV
+    quoted by RFC 4180, with 4 decimal places, or indented JSON at full
+    precision. Percent mode scales the ratio-valued columns by 100."""
 
     def scaled(row: ReportRow) -> Dict[str, Optional[float]]:
         out = {}
@@ -334,9 +338,7 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
         return json.dumps(payload, ensure_ascii=False, indent=2).split("\n")
     if format not in ("tsv", "csv"):
         raise ConfigError(f"unknown output format {format!r}")
-    sep = "\t" if format == "tsv" else ","
-    header = ["language", "grouping", "status"] + list(_NUMERIC_COLUMNS)
-    lines = [sep.join(header)]
+    table = [["language", "grouping", "status", *_NUMERIC_COLUMNS]]
     for row in rows:
         cells = [row.language, row.grouping, row.status]
         values = scaled(row)
@@ -348,5 +350,16 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
                 cells.append(str(int(v)))
             else:
                 cells.append(f"{v:.4f}")
-        lines.append(sep.join(cells))
-    return lines
+        table.append(cells)
+    if format == "tsv":
+        # TSV cannot quote: `load_config` rejects a tab or line break in a
+        # language name or grouping
+        return list(map("\t".join, table))
+    import csv
+    import io
+
+    # RFC 4180 quoting; with its default "\r\n" terminator the writer also
+    # quotes a cell holding "\r" or "\n"
+    buf = io.StringIO()
+    csv.writer(buf).writerows(table)
+    return buf.getvalue().split("\r\n")[:-1]

@@ -461,7 +461,8 @@ def test_tables_past_the_flush_threshold_equal_unbatched():
 
 
 @given(
-    spans=st.lists(st.lists(st.sampled_from("abcde.7"), min_size=1, max_size=6), min_size=1, max_size=60),
+    # ж a letter, ٣ an Nd digit outside ASCII, « punctuation, ▁ the marker
+    spans=st.lists(st.lists(st.sampled_from("abcde.7ж٣«▁"), min_size=1, max_size=6), min_size=1, max_size=60),
     batch=st.integers(1, 20),
     window=st.integers(1, 8),
     stride=st.integers(1, 3),
@@ -471,7 +472,8 @@ def test_tables_past_the_flush_threshold_equal_unbatched():
 @settings(max_examples=200, deadline=None)
 def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, stride, lifetime, full):
     # batches of id records give the tables of one push per pair, and
-    # finalize's per-type values are exactly those of the state methods
+    # finalize's values are exactly those of the state methods and of sum()
+    # over the retained records
     t = BigramTables(window=window, stride=stride, lifetime_eta=lifetime)
     records = [t.interner.intern(span) for span in spans]
     for i in range(0, len(records), batch):
@@ -496,6 +498,33 @@ def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, str
             ls.windowed_av(), rs.windowed_av(), ls.windowed_au(), rs.windowed_au(),
             eta(ls, pools[0]), eta(rs, pools[1]), ls.boundary_ratio(), rs.boundary_ratio(),
         )
+
+    freq = Counter(piece for span in spans for piece in span)
+    lexical = [piece for piece in ids if is_lexical(piece)]
+    assert [tm.type for tm in report.types] == lexical
+    for tm in report.types:
+        ls, rs = left[ids[tm.type]], right[ids[tm.type]]
+        assert tm.f == ls.ta + ls.dummies == freq[tm.type]
+        assert tm.retained == (min(ls.boundary_ratio(), rs.boundary_ratio()) < 0.95)
+    filtered = sum(not tm.retained for tm in report.types)
+    macro = [
+        tm for tm in report.types
+        if tm.retained and (not full or (left[ids[tm.type]].snapshots and right[ids[tm.type]].snapshots))
+    ]
+    n = len(macro)
+    assert (report.lr, report.retained_count, report.filtered_count, report.degenerate) == (
+        filtered / len(lexical), n, filtered, filtered == len(lexical),
+    )
+    assert (report.macro_av, report.macro_av_min, report.macro_au, report.macro_eta) == (
+        (
+            sum(tm.av_mean for tm in macro) / n,
+            sum(tm.av_min for tm in macro) / n,
+            sum(tm.au_mean for tm in macro) / n,
+            sum(tm.eta_mean for tm in macro) / n,
+        )
+        if n
+        else (None,) * 4
+    )
 
 
 # --- c*log2(c) under threads -----------------------------------------------

@@ -267,3 +267,38 @@ def test_is_lexical_exhaustive_below_bmp():
         if ch == "▁":
             expected = True  # marker stripped before classification
         assert is_lexical(ch) == expected, hex(cp)
+
+
+def _is_lexical_reference(s: str, marker: str) -> bool:
+    stripped = s.lstrip(marker) if marker else s
+    for ch in stripped:
+        cat = unicodedata.category(ch)
+        if cat.startswith("P") or cat == "Nd":
+            return False
+    return True
+
+
+@given(
+    markers=st.integers(0, 2),
+    # letters, Nd and No digits, punctuation, math symbols and the marker
+    body=st.text(alphabet="aZжλ7٣½²!«_-+<▁", max_size=8),
+    marker=st.sampled_from(["▁", "_", ""]),
+)
+@settings(max_examples=300, deadline=None)
+def test_is_lexical_strings_cold_and_warm_cache(markers, body, marker):
+    s = "▁" * markers + body
+    expected = _is_lexical_reference(s, marker)
+    sys.modules["morphlens.pretokenize"]._lexical_chars.clear()
+    assert is_lexical(s, marker) == expected  # cold: nothing classified yet
+    for ch in s:
+        is_lexical(ch, "")
+    assert is_lexical(s, marker) == expected  # warm: every character read back
+
+
+def test_import_classifies_no_character():
+    _run_cold(
+        """
+        import morphlens
+        assert sys.modules["morphlens.pretokenize"]._lexical_chars == {}
+        """
+    )

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -220,7 +223,7 @@ before = set(sys.modules)
 import morphlens, morphlens.cli
 main = morphlens.cli.main
 LAZY = {"morphlens.stats", "morphlens.morph_eval"}
-HEAVY = {"dataclasses", "inspect", "json"}
+HEAVY = {"csv", "dataclasses", "inspect", "json"}
 def loaded():
     return LAZY & set(sys.modules)
 def heavy():
@@ -243,7 +246,7 @@ assert loaded() == LAZY, loaded()
 def test_analysis_commands_do_not_load_stats_or_morph_eval(tmp_path):
     # start-up pays only for the analysis path: `stats` and `align` load
     # their modules when they run, and neither the package nor `bigram` or a
-    # TSV `run` loads `dataclasses` (with `inspect`, about 10 ms) or `json`
+    # TSV `run` loads `dataclasses` (with `inspect`, about 10 ms), `json` or `csv`
     src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
     golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     env = dict(os.environ, PYTHONPATH=src)
@@ -532,6 +535,45 @@ def test_emit_percent_scales_ratio_columns_only():
 
 def test_emit_csv_separator():
     assert emit(fixed_report(), "csv", False)[0].startswith("language,grouping,status")
+
+
+def test_run_csv_and_tsv_rows_parse_back_to_their_cells(tmp_path):
+    # a comma or quote in a language name or grouping is quoted in CSV, so
+    # every row reads back as the header's 17 cells
+    ca, va = write_language(tmp_path, "la", CORPUS_A, VOCAB_A)
+    cb, vb = write_language(tmp_path, "lb", CORPUS_B, VOCAB_B)
+    config = load_config(
+        write_config(
+            tmp_path,
+            f'[language:Alpha, "quoted"]\ncorpus = {ca}\nvocab = {va}\ngrouping = Fusional, agglutinative\n'
+            f"[language:Beta]\ncorpus = {cb}\nvocab = {vb}\ngrouping = 'a'; b\n",
+        )
+    )
+    report = run(config)
+    rows = list(csv.reader(io.StringIO("\n".join(emit(report, "csv", False)) + "\n")))
+    tsv = [line.split("\t") for line in emit(report, "tsv", False)]
+    assert [len(row) for row in rows] == [len(row) for row in tsv] == [17, 17, 17]
+    assert rows == tsv
+    assert {tuple(row[:2]) for row in rows[1:]} == {
+        ('Alpha, "quoted"', "Fusional, agglutinative"),
+        ("Beta", "'a'; b"),
+    }
+
+
+@pytest.mark.parametrize(
+    "section, grouping",
+    [
+        ("language:Alpha\tBeta", "G"),
+        ("language:Alpha", "Fusional\tagglutinative"),
+        ("language:Alpha", "a\n  b"),  # a continuation line
+    ],
+)
+def test_load_config_rejects_tab_or_line_break_in_name_or_grouping(tmp_path, section, grouping):
+    # TSV has no quoting, so such a cell would shift every column after it
+    ca, va = write_language(tmp_path, "la", CORPUS_A, VOCAB_A)
+    path = write_config(tmp_path, f"[{section}]\ncorpus = {ca}\nvocab = {va}\ngrouping = {grouping}\n")
+    with pytest.raises(ConfigError, match=re.escape(repr(section))):
+        load_config(path)
 
 
 def test_emit_json_round_trip():

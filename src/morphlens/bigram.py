@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
 from itertools import chain, pairwise
 from math import log2
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .corpus import InputError
@@ -238,7 +239,7 @@ class AccessorState:
             raise MetricsError("lifetime counts were not tracked")
         if self.ta == 0:
             return 0.0
-        acc = sum(_clog2(c) for c in self.life_counts.values())
+        acc = reduce(add, map(_clog2, self.life_counts.values()), 0.0)
         h = max(0.0, math.log2(self.ta) - acc / self.ta)
         return _efficiency(h, self.ta, pool)
 
@@ -499,17 +500,17 @@ class BigramTables:
         if not lexical:
             raise MetricsError("no lexical types observed")
 
-        # sum() of the properties' values in their order: on Python 3.12 it
-        # is compensated, so a plain loop would differ in the last bits
+        # the properties' values added left to right, in their order, on
+        # every Python version: sum() of floats compensates from 3.12 on
         n = len(retained)
         return BigramReport(
             types=types,
             lr=filtered_count / lexical,
             retained_count=n,
             filtered_count=filtered_count,
-            macro_av=sum([(t.av_l + t.av_r) / 2 for t in retained]) / n if n else None,
-            macro_av_min=sum([min(t.av_l, t.av_r) for t in retained]) / n if n else None,
-            macro_au=sum([(t.au_l + t.au_r) / 2 for t in retained]) / n if n else None,
-            macro_eta=sum([(t.eta_l + t.eta_r) / 2 for t in retained]) / n if n else None,
+            macro_av=reduce(add, [(t.av_l + t.av_r) / 2 for t in retained], 0.0) / n if n else None,
+            macro_av_min=reduce(add, [min(t.av_l, t.av_r) for t in retained], 0.0) / n if n else None,
+            macro_au=reduce(add, [(t.au_l + t.au_r) / 2 for t in retained], 0.0) / n if n else None,
+            macro_eta=reduce(add, [(t.eta_l + t.eta_r) / 2 for t in retained], 0.0) / n if n else None,
             degenerate=filtered_count == lexical,
         )

@@ -83,10 +83,12 @@ _lexical_chars: Dict[str, bool] = {}
 
 def is_lexical(type_string: str, marker: str = DEFAULT_MARKER) -> bool:
     """False iff the string contains a Punctuation or decimal-digit (Nd)
-    character. Leading word-boundary markers are ignored for classification;
-    only category Nd counts as a digit (letter-numbers and other-numbers do
-    not). Each distinct character is classified once per process."""
+    character, leading word-boundary markers ignored; letter-numbers and
+    other-numbers are not digits. Letters-only strings take one `isalpha()`,
+    and otherwise each distinct character is classified once per process."""
     stripped = type_string.lstrip(marker) if marker else type_string
+    if stripped.isalpha():
+        return True
     for ch in stripped:
         lexical = _lexical_chars.get(ch)
         if lexical is None:

@@ -15,7 +15,9 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from operator import add
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .corpus import InputError, read_text
 
@@ -30,6 +32,12 @@ _BETA_MAX_ITER = 500
 
 class StatsError(InputError):
     pass
+
+
+def _sum(values: Iterable[float]) -> float:
+    """`values` added left to right, the same on every Python version:
+    sum() of floats compensates from 3.12 on, which moves the last digits."""
+    return reduce(add, values, 0.0)
 
 
 def read_column(path: Union[str, os.PathLike]) -> Sample:
@@ -78,14 +86,14 @@ class Sample:
         return len(self.values)
 
     def mean(self) -> float:
-        return sum(self.values) / self.n
+        return _sum(self.values) / self.n
 
     def variance(self) -> float:
         """n-1 corrected sample variance."""
         if self.n < 2:
             raise StatsError("variance needs at least 2 observations")
         m = self.mean()
-        return sum((v - m) ** 2 for v in self.values) / (self.n - 1)
+        return _sum((v - m) ** 2 for v in self.values) / (self.n - 1)
 
     def median(self) -> float:
         s = sorted(self.values)
@@ -124,9 +132,9 @@ def correlation(x: Sample, y: Sample) -> float:
     if x.n < 2:
         raise StatsError("correlation needs at least 2 observations")
     mx, my = x.mean(), y.mean()
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
-    sxx = sum((a - mx) ** 2 for a in x.values)
-    syy = sum((b - my) ** 2 for b in y.values)
+    sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
+    sxx = _sum((a - mx) ** 2 for a in x.values)
+    syy = _sum((b - my) ** 2 for b in y.values)
     if sxx == 0 or syy == 0:
         raise StatsError("correlation undefined for zero-variance sample")
     return sxy / math.sqrt(sxx * syy)
@@ -311,10 +319,10 @@ def gap_reduction_test(inp: GapTestInput, alpha: float) -> GapTestResult:
         if s.n < 2:
             raise StatsError("gap test needs at least 2 observations per sample")
     mean_vars = [s.variance() / s.n for s in samples]
-    s_y2 = sum(mean_vars)
+    s_y2 = _sum(mean_vars)
     if s_y2 == 0:
         raise StatsError("all four samples have zero variance")
-    df = s_y2 * s_y2 / sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples))
+    df = s_y2 * s_y2 / _sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples))
     delta_before = inp.group1_before.mean() - inp.group2_before.mean()
     delta_after = inp.group1_after.mean() - inp.group2_after.mean()
     s_y = math.sqrt(s_y2)
@@ -461,11 +469,11 @@ def ols_simple(x: Sample, y: Sample) -> RegressionResult:
     if n < 3:
         raise StatsError("regression needs at least 3 observations")
     mx, my = x.mean(), y.mean()
-    sxx = sum((a - mx) ** 2 for a in x.values)
+    sxx = _sum((a - mx) ** 2 for a in x.values)
     if sxx == 0:
         raise StatsError("predictor has zero variance")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
-    syy = sum((b - my) ** 2 for b in y.values)
+    sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
+    syy = _sum((b - my) ** 2 for b in y.values)
     beta1 = sxy / sxx
     beta0 = my - beta1 * mx
     rss = syy - beta1 * sxy

@@ -169,8 +169,8 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     A forward lattice walk: from each position it follows the vocabulary's
     piece trie one character at a time, and a tail (the rest of the only
     piece below a trie entry) with one `startswith`, so no candidate
-    substring is sliced. Piece sequences are rebuilt only on an exact
-    (score, token count) tie.
+    substring is sliced, and `<unk>` is tried after it. Token counts and
+    piece sequences are rebuilt only on an exact score tie.
     """
     if not pretoken:
         raise ValueError("pretoken must be nonempty")
@@ -178,41 +178,27 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     trie = vocab._trie
     unk = vocab.unk_piece
     n = len(text)
-    # The best cover of text[:i] found so far scores score[i] with count[i]
-    # tokens and ends with piece_at[i], which starts at back[i]. Pieces only
-    # reach rightward, so the cover of text[:j] is final when the walk gets
-    # to j. count[i] starts above any real count, so the first candidate wins
-    # even at a score of -inf.
+    # The best cover of text[:i] found so far scores score[i] and ends with
+    # piece_at[i], which starts at back[i]. Pieces only reach rightward, so
+    # the cover of text[:j] is final when the walk gets to j. No sentinel is
+    # needed: every position gets the finite <unk> candidate from the one
+    # before it, so a candidate that overflows to -inf never stays the best.
     score = [-math.inf] * (n + 1)
-    count = [n + 1] * (n + 1)
     back = [0] * (n + 1)
     piece_at = [unk] * (n + 1)
     score[0] = 0.0
-    count[0] = 0
     # a character past Latin-1 is a new string, hashed anew, at each
     # text[i]; the list makes one per position for all the walks reading it
     chars = list(text)
     for j in range(n):
         base = score[j]
-        c = count[j] + 1
-        i = j + 1
-        s = base + _UNK_SCORE
-        t = score[i]
-        if s > t or s == t and (
-            c < count[i]
-            or c == count[i] and _path(back, piece_at, j) + [unk] < _path(back, piece_at, i)
-        ):
-            score[i] = s
-            count[i] = c
-            back[i] = j
-            piece_at[i] = unk
         node = trie
         i = j
         while i < n:
-            ch = chars[i]
-            if ch not in node:
+            entry = node.get(chars[i])
+            if entry is None:
                 break
-            node, ps, piece, tail = node[ch]
+            node, ps, piece, tail = entry
             i += 1
             if tail:
                 if not text.startswith(tail, i):
@@ -222,15 +208,27 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
                 continue
             s = base + ps
             t = score[i]
-            if s > t or s == t and (
-                c < count[i]
-                or c == count[i] and _path(back, piece_at, j) + [piece] < _path(back, piece_at, i)
-            ):
+            if s > t or s == t and _wins(back, piece_at, j, piece, i):
                 score[i] = s
-                count[i] = c
                 back[i] = j
                 piece_at[i] = piece
+        # <unk> last, as the winner is the maximum of one total order in any
+        # order of arrival, and a one-character piece has mostly won already
+        s = base + _UNK_SCORE
+        t = score[j + 1]
+        if s > t or s == t and _wins(back, piece_at, j, unk, j + 1):
+            score[j + 1] = s
+            back[j + 1] = j
+            piece_at[j + 1] = unk
     return _path(back, piece_at, n)
+
+
+def _wins(back: List[int], piece_at: List[str], j: int, piece: str, i: int) -> bool:
+    """Whether the cover of text[:j] then `piece` beats that of text[:i] at
+    an equal score: fewer tokens, then the smaller piece sequence."""
+    new = _path(back, piece_at, j) + [piece]
+    old = _path(back, piece_at, i)
+    return (len(new), new) < (len(old), old)
 
 
 def _path(back: List[int], piece_at: List[str], i: int) -> List[str]:

@@ -62,17 +62,18 @@ def renyi_efficiency(freq: FrequencyTable, alpha: float = DEFAULT_RENYI_ALPHA) -
         return 0.0
     h0 = math.log2(support)
     total = freq.total
+    # floats add left to right: sum() compensates on Python 3.12 and later
     if alpha == 1.0:
-        h = -sum((c / total) * math.log2(c / total) for c in freq.counts.values())
+        h = -reduce(add, ((c / total) * math.log2(c / total) for c in freq.counts.values()), 0.0)
     elif alpha == 0.0:
         h = h0
     else:
-        s = sum((c / total) ** alpha for c in freq.counts.values())
+        s = reduce(add, ((c / total) ** alpha for c in freq.counts.values()), 0.0)
         if s >= sys.float_info.min:
             h = math.log2(s) / (1.0 - alpha)
         else:  # underflow: factor out pmax, as the sum of (p / pmax)^alpha is >= 1
             cmax = max(freq.counts.values())
-            rest = sum((c / cmax) ** alpha for c in freq.counts.values())
+            rest = reduce(add, ((c / cmax) ** alpha for c in freq.counts.values()), 0.0)
             h = (alpha * math.log2(cmax / total) + math.log2(rest)) / (1.0 - alpha)
     return h / h0
 

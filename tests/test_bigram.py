@@ -4,6 +4,8 @@ import random
 import sys
 import threading
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -515,12 +517,13 @@ def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, str
     assert (report.lr, report.retained_count, report.filtered_count, report.degenerate) == (
         filtered / len(lexical), n, filtered, filtered == len(lexical),
     )
+    # added left to right on every Python version, as `finalize` adds them
     assert (report.macro_av, report.macro_av_min, report.macro_au, report.macro_eta) == (
         (
-            sum(tm.av_mean for tm in macro) / n,
-            sum(tm.av_min for tm in macro) / n,
-            sum(tm.au_mean for tm in macro) / n,
-            sum(tm.eta_mean for tm in macro) / n,
+            reduce(add, (tm.av_mean for tm in macro), 0.0) / n,
+            reduce(add, (tm.av_min for tm in macro), 0.0) / n,
+            reduce(add, (tm.au_mean for tm in macro), 0.0) / n,
+            reduce(add, (tm.eta_mean for tm in macro), 0.0) / n,
         )
         if n
         else (None,) * 4

@@ -269,6 +269,14 @@ def test_is_lexical_exhaustive_below_bmp():
         assert is_lexical(ch) == expected, hex(cp)
 
 
+def test_isalpha_is_category_letter_on_every_code_point():
+    # `is_lexical` answers a string for which `isalpha()` holds at once, so
+    # every such character must be a letter, never P* or Nd
+    for cp in range(sys.maxunicode + 1):
+        ch = chr(cp)
+        assert ch.isalpha() == unicodedata.category(ch).startswith("L"), hex(cp)
+
+
 def _is_lexical_reference(s: str, marker: str) -> bool:
     stripped = s.lstrip(marker) if marker else s
     for ch in stripped:

@@ -66,6 +66,12 @@ def test_median_breakdown_contrast():
     assert S(1, 2, 3, 4, 10**9).mean() > 10**8
 
 
+def test_sums_add_left_to_right():
+    # the same last digits on every Python version: sum() of floats is
+    # compensated from 3.12 on, and its mean here would be 1/3
+    assert S(1e16, 1.0, -1e16).mean() == 0.0
+
+
 def test_constant_sample_zero_variance():
     assert S(7, 7, 7).variance() == 0.0
 

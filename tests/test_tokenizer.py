@@ -267,14 +267,15 @@ def reference_greedy(pretoken, vocab):
     return out
 
 
-# Integer-valued scores make exact (score, token count) ties common, so the
-# lattice's path-rebuild tie-break runs often; "x" is in no piece, so covers
-# need <unk> gaps. Half the vocabularies hold a "▁" piece, so "▁" is their
-# boundary marker; the other half hold no "▁" and have none.
+# Integer-valued scores make exact score ties common, so the lattice's
+# path-rebuild tie-break runs often; "x" is in no piece, so covers need
+# <unk> gaps. A piece scoring `_UNK_SCORE` ties <unk>, and two pieces
+# scoring -1.7e308 add up to -inf. Half the vocabularies hold a "▁" piece,
+# so "▁" is their boundary marker; the other half hold no "▁" and have none.
 def lattice_pieces(alphabet):
     return st.dictionaries(
         st.text(alphabet=alphabet, min_size=1, max_size=4),
-        st.sampled_from([-1.0, -2.0, -3.0]),
+        st.sampled_from([-1.0, -2.0, -3.0, _UNK_SCORE, -1.7e308]),
         min_size=1,
         max_size=12,
     )
@@ -294,12 +295,16 @@ def test_lattice_matches_reference(pieces, text):
     assert segment_greedy(text, vocab) == reference_greedy(text, vocab)
 
 
-def test_viterbi_ties_match_exhaustive_oracle():
+@pytest.mark.parametrize("score", [-1.0, _UNK_SCORE])
+def test_viterbi_ties_match_exhaustive_oracle(score):
     # every piece scores the same, so equal-count covers tie exactly and the
     # lexicographic rule decides; "x" is unknown. With these pieces, keeping
     # whichever tied cover was found first fails on "acabb", where the tie
     # is met relaxing a piece, and on "bbaac", where it is met relaxing <unk>.
-    vocab = vocab_of(**{p: -1.0 for p in ("b", "ac", "bb", "aaa", "aba", "acc", "baa", "cab")})
+    # At `_UNK_SCORE` every piece also ties <unk>, so covers with the same
+    # number of tokens tie whatever mix of pieces and <unk> they hold, and
+    # "<unk>" sorts before every piece.
+    vocab = vocab_of(**{p: score for p in ("b", "ac", "bb", "aaa", "aba", "acc", "baa", "cab")})
     cases = 0
     for length in range(1, 7):
         for chars in itertools.product("abcx", repeat=length):

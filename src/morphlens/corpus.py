@@ -1,15 +1,18 @@
 """Line-oriented UTF-8 corpus handling: streaming reads, reservoir sampling,
 size statistics, and byte premiums.
 
-A corpus is one sentence per line. Both "\n" and "\r\n" terminators are
-accepted; terminators never count towards any statistic. Invalid UTF-8 is a
-hard error (byte premiums and character counts must be exact).
+A corpus is one sentence per line, read and decoded a batch of
+`BATCH_LINES` lines at a time. Both "\n" and "\r\n" terminators are
+accepted, and a last line with no "\n" also loses a trailing "\r"; any other
+"\r" stays in its line. Terminators never count towards any statistic.
+Invalid UTF-8 is a hard error (byte premiums and character counts must be
+exact).
 """
 
 from __future__ import annotations
 
 import os
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional, Type, Union
 
 from .pretokenize import pretokenize_lines
@@ -59,47 +62,36 @@ class SplitMix64:
                 return x % bound
 
 
-def _decode_line(raw: bytes, base_offset: int) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise CorpusError(
-            f"invalid UTF-8 at byte offset {base_offset + e.start}"
-        ) from e
+def _split_lines(text: str) -> List[str]:
+    """The lines of decoded text, without their "\n" or "\r\n" terminators.
+    A last line with no "\n" also loses a trailing "\r"."""
+    lines = text.replace("\r\n", "\n").split("\n")
+    last = lines.pop()
+    if last:
+        lines.append(last[:-1] if last.endswith("\r") else last)
+    return lines
 
 
-def _iter_path(path: Union[str, os.PathLike]) -> Iterator[str]:
+def _read_batches(path: Union[str, os.PathLike]) -> Iterator[List[str]]:
     offset = 0
     try:
         with open(path, "rb") as f:
-            for raw in f:
-                stripped = raw
-                if stripped.endswith(b"\n"):
-                    stripped = stripped[:-1]
-                if stripped.endswith(b"\r"):
-                    stripped = stripped[:-1]
-                yield _decode_line(stripped, offset)
+            # file iteration splits only at b"\n", which is never part of a
+            # multi-byte character, so each batch decodes on its own
+            while raw := b"".join(islice(f, BATCH_LINES)):
+                try:
+                    lines = _split_lines(raw.decode("utf-8"))
+                except UnicodeDecodeError as e:
+                    # the lines before the bad one come first
+                    good = raw[: raw.rfind(b"\n", 0, e.start) + 1]
+                    if good:
+                        yield _split_lines(good.decode("utf-8"))
+                    raise CorpusError(f"invalid UTF-8 at byte offset {offset + e.start}") from e
                 offset += len(raw)
+                del raw  # not held while the batch is in use
+                yield lines
     except OSError as e:
         raise CorpusError(f"cannot read corpus {path!r}: {e}") from e
-
-
-def line_batches(lines: Iterator[str]) -> Iterator[List[str]]:
-    """Consecutive lists of `BATCH_LINES` lines, the last one shorter. When
-    reading a line fails, the lines read before it are yielded first, then
-    its error is raised."""
-    while True:
-        batch: List[str] = []
-        try:
-            # when the iterator raises, extend keeps what it appended before
-            batch.extend(islice(lines, BATCH_LINES))
-        except CorpusError:
-            if batch:
-                yield batch
-            raise
-        if not batch:
-            return
-        yield batch
 
 
 class Corpus:
@@ -115,12 +107,17 @@ class Corpus:
         self.path = path
         self._lines = _lines
 
+    def batches(self) -> Iterator[List[str]]:
+        """Consecutive lists of `BATCH_LINES` lines, the last one shorter.
+        When a line fails to decode, the lines before it are yielded first,
+        then the error is raised."""
+        lines = self._lines
+        if lines is None:
+            return iter(()) if self.path is None else _read_batches(self.path)
+        return (lines[i : i + BATCH_LINES] for i in range(0, len(lines), BATCH_LINES))
+
     def lines(self) -> Iterator[str]:
-        if self._lines is not None:
-            return iter(self._lines)
-        if self.path is None:
-            return iter(())
-        return _iter_path(self.path)
+        return chain.from_iterable(self.batches())
 
     def __iter__(self) -> Iterator[str]:
         return self.lines()
@@ -162,8 +159,8 @@ def read_text(path: Union[str, os.PathLike], error: Type[Exception]) -> str:
     and "\r" read as "\n") and one leading byte order mark dropped. Invalid
     UTF-8 raises `error` with the absolute byte offset of the first bad byte.
 
-    Corpora are read line by line elsewhere and keep a byte order mark, so
-    it counts towards their characters and bytes."""
+    Corpora are read a batch of lines at a time elsewhere and keep a byte
+    order mark, so it counts towards their characters and bytes."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -207,7 +204,7 @@ def corpus_counts(corpus: Corpus, pretokenized: bool = False) -> CorpusCounts:
     With `pretokenized`, also count the pretokens `pretokenize` makes (cwc);
     without, cwc stays 0."""
     counts = CorpusCounts()
-    for lines in line_batches(corpus.lines()):
+    for lines in corpus.batches():
         counts.add(lines)
         if pretokenized:
             counts.cwc += sum(map(len, pretokenize_lines(lines)))

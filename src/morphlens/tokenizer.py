@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
 
-from .corpus import Corpus, InputError, line_batches, read_text
+from .corpus import Corpus, InputError, read_text
 from .pretokenize import DEFAULT_MARKER, pretokenize_lines
 
 # Each unknown character costs this much; any cover using fewer unknowns
@@ -389,7 +389,7 @@ def tokenize_corpus(
     def make(key: str) -> List[T]:
         return record(segment(key, vocab))
 
-    for lines in line_batches(corpus.lines()):
+    for lines in corpus.batches():
         if pretokenized:
             pretokens = pretokenize_lines(lines)
             texts = list(chain.from_iterable(pretokens))

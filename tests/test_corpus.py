@@ -1,8 +1,14 @@
 import math
+import os
+import tempfile
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphlens.corpus import (
+    BATCH_LINES,
     Corpus,
     CorpusCounts,
     CorpusError,
@@ -176,3 +182,74 @@ def test_byte_premium_greek_vs_latin():
 def test_byte_premium_empty_reference_errors():
     with pytest.raises(CorpusError):
         byte_premium(Corpus.from_lines(["a"]), Corpus.from_lines([]))
+
+
+# --- the batch reader against a line-at-a-time oracle -----------------------
+
+
+def oracle_lines(path):
+    """The corpus lines one at a time: each raw line loses a "\n", then a
+    "\r", and is decoded on its own."""
+    offset = 0
+    with open(path, "rb") as f:
+        for raw in f:
+            stripped = raw[:-1] if raw.endswith(b"\n") else raw
+            stripped = stripped[:-1] if stripped.endswith(b"\r") else stripped
+            try:
+                yield stripped.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"invalid UTF-8 at byte offset {offset + e.start}") from e
+            offset += len(raw)
+
+
+def oracle_batches(lines):
+    """`BATCH_LINES` lines at a time; the lines read before an error come
+    first."""
+    while True:
+        batch = []
+        try:
+            batch.extend(islice(lines, BATCH_LINES))
+        except CorpusError:
+            if batch:
+                yield batch
+            raise
+        if not batch:
+            return
+        yield batch
+
+
+def drain(items):
+    """(the items yielded, the message of the CorpusError raised after them
+    or None)."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except CorpusError as e:
+        return out, str(e)
+    return out, None
+
+
+PIECES = [b"a", b" ", b"\n", b"\r", b"\r\n", "é".encode(), "中".encode(), "\ufeff".encode()]
+BAD = [b"\xff", b"\x80"]
+
+
+@given(
+    block=st.lists(st.sampled_from(PIECES), max_size=12).map(lambda p: b"".join(p) + b"\n"),
+    repeat=st.integers(0, 3 * BATCH_LINES),
+    tail=st.lists(st.sampled_from(PIECES + BAD), max_size=30).map(b"".join),
+)
+# a bad byte on the first line of the second batch, and on an unterminated
+# last line
+@example(block=b"a\r\n", repeat=BATCH_LINES, tail=b"\xff\n")
+@example(block=b"\xc3\xa9\n", repeat=2 * BATCH_LINES + 3, tail=b"a\r\x80")
+@settings(max_examples=300, deadline=None)
+def test_batches_match_line_at_a_time_oracle(block, repeat, tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.txt")
+        with open(path, "wb") as f:
+            f.write(block * repeat + tail)
+        batches, error = drain(Corpus(path).batches())
+        assert (batches, error) == drain(oracle_batches(oracle_lines(path)))
+        assert drain(Corpus(path).lines()) == drain(oracle_lines(path))
+    assert all(len(batch) == BATCH_LINES for batch in batches[:-1])

@@ -26,8 +26,6 @@ from morphlens.stats import (
     welch_t_test,
 )
 
-scipy_stats = pytest.importorskip("scipy.stats")
-
 
 def S(*values):
     return Sample.of(values)
@@ -107,6 +105,7 @@ def test_correlation_zero_variance_errors():
 
 
 def test_betainc_against_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
     rng = random.Random(0)
     for _ in range(300):
         a = rng.uniform(0.1, 50)
@@ -118,6 +117,7 @@ def test_betainc_against_scipy():
 
 
 def test_t_cdf_against_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
     rng = random.Random(1)
     for _ in range(300):
         x = rng.uniform(-8, 8)
@@ -188,6 +188,7 @@ def test_welch_identical_samples():
 
 
 def test_welch_against_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
     rng = random.Random(3)
     for _ in range(100):
         a = [rng.gauss(0, 1) for _ in range(rng.randint(3, 20))]
@@ -415,6 +416,7 @@ def test_ols_slope_equals_correlation_identity():
 
 
 def test_ols_against_scipy():
+    scipy_stats = pytest.importorskip("scipy.stats")
     rng = random.Random(8)
     xs = [rng.gauss(0, 1) for _ in range(200)]
     ys = [0.3 * v + rng.gauss(0, 0.7) for v in xs]

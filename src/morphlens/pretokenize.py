@@ -6,11 +6,14 @@ Unicode general categories come from the stdlib `unicodedata` module; the
 pinned UCD version is `unicodedata.unidata_version` (documented in README).
 
 Every line is split by one compiled regular expression, `[P]+|[^\\sP]+`,
-whose punctuation class `P` is learned from the characters seen so far: it
-starts with ASCII, and a batch of lines holding characters not seen before
-has just those classified with `unicodedata` (the pattern is recompiled only when one
-of them is punctuation). So each distinct character is classified once per
-process, and there is no Unicode table to keep in step with the UCD.
+whose punctuation class `P` is learned block by block: code points are
+classified in fixed blocks of `_BLOCK` (128), starting with ASCII. A batch
+of lines is checked with one search of a compiled class of the code points
+outside the classified blocks; only a hit classifies the new blocks with
+`unicodedata`, and the pattern is recompiled only when they hold
+punctuation. So each block is classified once per process, the learned
+state grows with the blocks met, not with each distinct character, and
+there is no Unicode table to keep in step with the UCD.
 """
 
 from __future__ import annotations
@@ -35,15 +38,30 @@ def _compile(punct: str) -> re.Pattern:
     return re.compile(f"[{cls}]+|[^\\s{cls}]+")
 
 
-# Characters already classified, and the punctuation among them: process-wide
-# state, but only a cache of fixed facts, so no caller sees another's effect
-# in its output. Learning holds the lock and publishes the wider pattern
-# before `_known` grows, so a line whose characters are all known is split by
-# a pattern that covers them.
+def _outside(blocks) -> re.Pattern:
+    # any code point outside the blocks, as one range per run of adjacent blocks
+    runs: List[List[int]] = []
+    for b in sorted(blocks):
+        if runs and runs[-1][1] == b:
+            runs[-1][1] = b + 1
+        else:
+            runs.append([b, b + 1])
+    ranges = "".join(f"\\U{lo * _BLOCK:08x}-\\U{hi * _BLOCK - 1:08x}" for lo, hi in runs)
+    return re.compile(f"[^{ranges}]")
+
+
+# The classified blocks of code points, the punctuation in them, and the
+# check class of everything else: process-wide state, but only a cache of
+# fixed facts, so no caller sees another's effect in its output. Learning
+# holds the lock and publishes the wider pattern before the narrower check
+# class, so a batch that the check passes is split by a pattern that covers
+# all its characters.
+_BLOCK = 128
 _lock = threading.Lock()
-_known = set(map(chr, range(128)))
-_punct = "".join(filter(_is_punct, _known))
+_blocks = {0}
+_punct = "".join(filter(_is_punct, map(chr, range(_BLOCK))))
 _pattern = _compile(_punct)
+_unclassified = _outside(_blocks)
 
 
 def pretokenize(line: str) -> List[str]:
@@ -60,20 +78,25 @@ def pretokenize_lines(lines: List[str]) -> List[List[str]]:
     """`pretokenize` of each line, in order, checking the lines for new
     characters once for all of them."""
     text = "".join(lines)
-    if not text.isascii() and not _known.issuperset(text):
+    if not text.isascii() and _unclassified.search(text):
         _learn(text)
     return list(map(_pattern.findall, lines))
 
 
 def _learn(text: str) -> None:
-    global _pattern, _punct
+    global _pattern, _punct, _unclassified
     with _lock:
-        new = set(text) - _known
-        punct = "".join(filter(_is_punct, new))
+        # another thread may have classified some of the blocks meanwhile
+        new = {ord(ch) // _BLOCK for ch in set(text)} - _blocks
+        if not new:
+            return
+        codes = (c for b in new for c in range(b * _BLOCK, (b + 1) * _BLOCK))
+        punct = "".join(filter(_is_punct, map(chr, codes)))
         if punct:
             _punct += punct
             _pattern = _compile(_punct)
-        _known.update(new)
+        _blocks.update(new)
+        _unclassified = _outside(_blocks)
 
 
 # Whether each character classified so far is lexical: filled on first use,

@@ -45,9 +45,10 @@ def read_column(path: Union[str, os.PathLike]) -> Sample:
     numbers; only the first line may be a non-numeric header."""
     values = []
     for lineno, line in enumerate(read_text(path, StatsError).split("\n"), start=1):
-        cell = line.strip().split(",")[0]
-        if not cell:
+        line = line.strip()
+        if not line:
             continue
+        cell = line.split(",")[0]
         try:
             value = float(cell)
         except ValueError:

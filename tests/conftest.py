@@ -11,16 +11,19 @@ pretokenize_module = sys.modules["morphlens.pretokenize"]
 
 @pytest.fixture
 def fresh_pretokenizer(monkeypatch):
-    """Reset the pretokenizer's learned characters to ASCII, as in a new
-    process, now and at each call of the returned function; the learned
-    state of the session comes back after the test."""
+    """Reset the pretokenizer's learned state to ASCII, as in a new process,
+    now and at each call of the returned function: the classified blocks,
+    their punctuation, the pattern and the check class. The learned state of
+    the session comes back after the test."""
 
     def reset():
-        known = set(map(chr, range(128)))
-        punct = "".join(filter(pretokenize_module._is_punct, known))
-        monkeypatch.setattr(pretokenize_module, "_known", known)
-        monkeypatch.setattr(pretokenize_module, "_punct", punct)
-        monkeypatch.setattr(pretokenize_module, "_pattern", pretokenize_module._compile(punct))
+        m = pretokenize_module
+        blocks = {0}
+        punct = "".join(filter(m._is_punct, map(chr, range(m._BLOCK))))
+        monkeypatch.setattr(m, "_blocks", blocks)
+        monkeypatch.setattr(m, "_punct", punct)
+        monkeypatch.setattr(m, "_pattern", m._compile(punct))
+        monkeypatch.setattr(m, "_unclassified", m._outside(blocks))
 
     reset()
     return reset

@@ -844,12 +844,13 @@ def test_stats_arity_is_usage_error(capsys, tmp_path, test, n_files):
         ("foo\n1\n2\n1e\n3\n", "a.csv:4: expected a number, got '1e'"),
         ("1\nfoo\n2\n", "a.csv:2: expected a number, got 'foo'"),
         ("x\ny\n1\n2\n", "a.csv:2: expected a number, got 'y'"),
+        ("1\n,2\n3\n", "a.csv:2: expected a number, got ''"),
         ("1\n2\nnan\n", "a.csv:3: non-finite value 'nan'"),
         ("1\n-inf\n", "a.csv:2: non-finite value '-inf'"),
         (b"1\n\xff\n", "a.csv: invalid UTF-8 at byte offset 2"),
     ],
     ids=["one-value", "empty", "header-only", "bad-cell", "bad-cell-after-value",
-         "second-header", "nan", "inf", "undecodable"],
+         "second-header", "blank-cell", "nan", "inf", "undecodable"],
 )
 def test_stats_bad_input_is_one_line_error(capsys, tmp_path, content, message):
     a = tmp_path / "a.csv"

@@ -150,10 +150,68 @@ def test_pretokenize_lines_equals_loop(fresh_pretokenizer, lines):
     assert pretokenize_lines(lines) == [_pretokenize_loop(line) for line in lines]
 
 
+@given(st.lists(st.text(max_size=30), max_size=8))
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_learning_classifies_whole_blocks(fresh_pretokenizer, lines):
+    # after a batch the check class passes every character of it, and the
+    # punctuation class holds all the punctuation of every classified block
+    fresh_pretokenizer()
+    module = sys.modules["morphlens.pretokenize"]
+    pretokenize_lines(lines)
+    assert module._unclassified.search("".join(lines)) is None
+    size = module._BLOCK
+    classified = [chr(c) for b in module._blocks for c in range(b * size, (b + 1) * size)]
+    assert sorted(module._punct) == sorted(filter(_is_punct, classified))
+
+
+def test_classified_blocks_are_not_learned_again():
+    # the second batch has only characters the first did not have, but all
+    # of them in its blocks: Latin-1, Greek (U+0380-03FF) and Cyrillic
+    # (U+0400-047F), new punctuation marks among them
+    _run_cold(
+        """
+        from morphlens.pretokenize import pretokenize_lines
+        module = sys.modules["morphlens.pretokenize"]
+        first = ["привет, «мир»", "γειά σου"]
+        second = ["ЖЗИЙ ѐё", "ΩΨ ¿¡ ·.§"]
+        assert not set("".join(first)) & set("".join(second)) - set(" ,.")
+        pretokenize_lines(first)
+        pattern, check = module._pattern, module._unclassified
+        assert pretokenize_lines(second) == [_pretokenize_loop(line) for line in second]
+        assert module._pattern is pattern
+        assert module._unclassified is check
+        """
+    )
+
+
+def test_check_class_widens_after_the_pattern(fresh_pretokenizer, monkeypatch):
+    # a batch that passes the check must be split by a pattern that covers
+    # it, so when learning widens the check class, the published pattern
+    # already holds the punctuation of every block the class adds
+    module = sys.modules["morphlens.pretokenize"]
+    outside = module._outside
+    widenings = 0
+
+    def checked(blocks):
+        nonlocal widenings
+        size = module._BLOCK
+        codes = (c for b in blocks for c in range(b * size, (b + 1) * size))
+        for ch in filter(_is_punct, map(chr, codes)):
+            assert module._pattern.match(ch + "a").group() == ch, hex(ord(ch))
+        widenings += 1
+        return outside(blocks)
+
+    monkeypatch.setattr(module, "_outside", checked)
+    lines = ["a«b» c¿d?", "e—f γειά·", "«мир» нет", "的。"]
+    for line in lines:
+        assert pretokenize_lines([line]) == [_pretokenize_loop(line)]
+    assert widenings == len(lines)
+
+
 def test_learned_pattern_equals_loop_on_every_code_point():
     # one long line per 4,096-code-point block and context keeps the pattern
     # calls few; a cold process, so the class is learned block by block and
-    # the million learned characters leave with it
+    # the learned state leaves with it
     _run_cold(
         """
         for lo in range(0, 0x110000, 0x1000):

@@ -13,7 +13,8 @@ outside the classified blocks; only a hit classifies the new blocks with
 `unicodedata`, and the pattern is recompiled only when they hold
 punctuation. So each block is classified once per process, the learned
 state grows with the blocks met, not with each distinct character, and
-there is no Unicode table to keep in step with the UCD.
+there is no Unicode table to keep in step with the UCD. `is_lexical` learns
+the same blocks and searches a class `[\\dP]` recompiled with the pattern.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 import threading
 import unicodedata
-from typing import Dict, List
+from typing import List, Tuple
 
 DEFAULT_MARKER = "▁"  # the low-line-block word-boundary convention
 
@@ -32,10 +33,11 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P") and not ch.isspace()
 
 
-def _compile(punct: str) -> re.Pattern:
-    # maximal runs of punctuation, or of anything but whitespace and punctuation
+def _compile(punct: str) -> Tuple[re.Pattern, re.Pattern]:
+    # maximal runs of punctuation or of anything but whitespace and
+    # punctuation; and the non-lexical class (in a str pattern, \d is Nd)
     cls = re.escape(punct)
-    return re.compile(f"[{cls}]+|[^\\s{cls}]+")
+    return re.compile(f"[{cls}]+|[^\\s{cls}]+"), re.compile(f"[\\d{cls}]")
 
 
 def _outside(blocks) -> re.Pattern:
@@ -50,17 +52,17 @@ def _outside(blocks) -> re.Pattern:
     return re.compile(f"[^{ranges}]")
 
 
-# The classified blocks of code points, the punctuation in them, and the
-# check class of everything else: process-wide state, but only a cache of
-# fixed facts, so no caller sees another's effect in its output. Learning
-# holds the lock and publishes the wider pattern before the narrower check
-# class, so a batch that the check passes is split by a pattern that covers
-# all its characters.
+# The classified blocks of code points, their punctuation, the two classes
+# built from it, and the check class of everything else: process-wide state,
+# but only a cache of fixed facts, so no caller sees another's effect in its
+# output. Learning holds the lock and publishes the wider classes before the
+# narrower check class, so a batch or type that the check passes is read by
+# classes that cover all its characters.
 _BLOCK = 128
 _lock = threading.Lock()
 _blocks = {0}
 _punct = "".join(filter(_is_punct, map(chr, range(_BLOCK))))
-_pattern = _compile(_punct)
+_pattern, _nonlexical = _compile(_punct)
 _unclassified = _outside(_blocks)
 
 
@@ -84,7 +86,7 @@ def pretokenize_lines(lines: List[str]) -> List[List[str]]:
 
 
 def _learn(text: str) -> None:
-    global _pattern, _punct, _unclassified
+    global _pattern, _nonlexical, _punct, _unclassified
     with _lock:
         # another thread may have classified some of the blocks meanwhile
         new = {ord(ch) // _BLOCK for ch in set(text)} - _blocks
@@ -94,29 +96,20 @@ def _learn(text: str) -> None:
         punct = "".join(filter(_is_punct, map(chr, codes)))
         if punct:
             _punct += punct
-            _pattern = _compile(_punct)
+            _pattern, _nonlexical = _compile(_punct)
         _blocks.update(new)
         _unclassified = _outside(_blocks)
-
-
-# Whether each character classified so far is lexical: filled on first use,
-# and only with fixed facts, so concurrent writers write the same values.
-_lexical_chars: Dict[str, bool] = {}
 
 
 def is_lexical(type_string: str, marker: str = DEFAULT_MARKER) -> bool:
     """False iff the string contains a Punctuation or decimal-digit (Nd)
     character, leading word-boundary markers ignored; letter-numbers and
-    other-numbers are not digits. Letters-only strings take one `isalpha()`,
-    and otherwise each distinct character is classified once per process."""
+    other-numbers are not digits. Letters-only strings take one `isalpha()`;
+    any other string is checked for unclassified blocks like a batch of
+    lines, then answered with one search of the non-lexical class."""
     stripped = type_string.lstrip(marker) if marker else type_string
     if stripped.isalpha():
         return True
-    for ch in stripped:
-        lexical = _lexical_chars.get(ch)
-        if lexical is None:
-            cat = unicodedata.category(ch)
-            lexical = _lexical_chars[ch] = not (cat.startswith("P") or cat == "Nd")
-        if not lexical:
-            return False
-    return True
+    if _unclassified.search(stripped):
+        _learn(stripped)
+    return _nonlexical.search(stripped) is None

@@ -89,12 +89,14 @@ class RunConfig(NamedTuple):
 
 
 _RUN_KEYS = set(RunConfig._fields) - {"languages"}
+_LANGUAGE_KEYS = set(LanguageSpec._fields) - {"name"}
 
 
 def load_config(path: Union[str, os.PathLike]) -> RunConfig:
     """Read and check a run config. Relative `corpus` and `vocab` paths are
     resolved against the working directory, not the config's directory.
-    Every problem with the file, down to its INI syntax, is a `ConfigError`."""
+    Every problem with the file, down to its INI syntax and an unknown
+    section or key, is a `ConfigError`."""
     try:
         text = read_text(path, ConfigError)
     except OSError:
@@ -103,16 +105,21 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=os.fspath(path))
-        run = dict(parser["run"]) if parser.has_section("run") else {}
-        sections = {s: dict(parser[s]) for s in parser.sections() if s.startswith("language:")}
+        sections = {s: dict(parser[s]) for s in parser.sections()}
     except configparser.Error as e:
         raise ConfigError(_syntax_message(os.fspath(path), e)) from None
+    run = sections.pop("run", {})
     unknown = sorted(set(run) - _RUN_KEYS)
     if unknown:
         raise ConfigError(f"[run]: unknown key(s) {', '.join(unknown)}")
     languages = []
     for section, entry in sections.items():
-        name = section.split(":", 1)[1]
+        name = section[len("language:") :]
+        if not section.startswith("language:") or not name:
+            raise ConfigError(f"[{section}]: unknown section; expected [run] or [language:NAME]")
+        unknown = sorted(set(entry) - _LANGUAGE_KEYS)
+        if unknown:
+            raise ConfigError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
         if "corpus" not in entry or "vocab" not in entry:
             raise ConfigError(f"{section}: needs 'corpus' and 'vocab' keys")
         if any(c in name + entry.get("grouping", "") for c in "\t\r\n"):

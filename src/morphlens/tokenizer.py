@@ -369,14 +369,14 @@ def tokenize_corpus(
     the concatenation of its chunks' records. When no piece holds the
     separator (the marker, or U+0020 without one) after its first character,
     no piece can cross a separator, so the marked line is cut before each
-    separator, and each distinct chunk is segmented and recorded once per
-    call, cached and bounded as in pretokenized mode. Otherwise the line is
-    one chunk, segmented uncached. A chunk's scores are summed from 0, not
-    from the line's score so far, so where two covers of a chunk tie or
-    nearly tie (the same pieces in another order, say), one `segment_viterbi`
-    call on the whole line can round them apart and pick the other one. With
-    exactly representable sums, such as integer scores, the two always
-    agree, and greedy segmentation always agrees with one call per line.
+    separator; otherwise the whole marked line is one chunk. Each distinct
+    chunk is segmented and recorded once per call, cached and bounded as in
+    pretokenized mode. A chunk's scores are summed from 0, not from the
+    line's score so far, so where two covers of a chunk tie or nearly tie
+    (the same pieces in another order, say), one `segment_viterbi` call on
+    the whole line can round them apart and pick the other one. With exactly
+    representable sums, such as integer scores, the two always agree, and
+    greedy segmentation always agrees with one call per line.
     """
     # module globals read at call time, so rebinding them takes effect
     segment = segment_greedy if greedy else segment_viterbi
@@ -396,21 +396,20 @@ def tokenize_corpus(
             yield SpanBatch(lines, texts, _records(texts, cache, make), list(map(len, pretokens)))
             continue
         texts = [line.replace(" ", marker) if marker else line for line in lines if line]
-        if sep is None:
-            records = list(map(make, texts))
-        else:
-            # the cache keys are the lines' chunks, `chunks` of them per line
-            keys: List[str] = []
-            chunks = []
-            for text in texts:
-                head, *tails = _with_marker(text, vocab).split(sep)
-                start = len(keys)
-                if head:
-                    keys.append(head)
-                keys += [sep + tail for tail in tails]
-                chunks.append(len(keys) - start)
-            found = iter(_records(keys, cache, make))
-            records = [list(chain.from_iterable(islice(found, n))) for n in chunks]
+        # the cache keys are the lines' chunks, `chunks` of them per line; a
+        # line that cannot be cut is one chunk
+        keys: List[str] = []
+        chunks = []
+        for text in texts:
+            text = _with_marker(text, vocab)
+            head, *tails = text.split(sep) if sep else (text,)
+            start = len(keys)
+            if head:
+                keys.append(head)
+            keys += [sep + tail for tail in tails]
+            chunks.append(len(keys) - start)
+        found = iter(_records(keys, cache, make))
+        records = [list(chain.from_iterable(islice(found, n))) for n in chunks]
         yield SpanBatch(lines, texts, records, [1 if line else 0 for line in lines])
 
 

@@ -13,16 +13,18 @@ pretokenize_module = sys.modules["morphlens.pretokenize"]
 def fresh_pretokenizer(monkeypatch):
     """Reset the pretokenizer's learned state to ASCII, as in a new process,
     now and at each call of the returned function: the classified blocks,
-    their punctuation, the pattern and the check class. The learned state of
-    the session comes back after the test."""
+    their punctuation, the pattern, the non-lexical class and the check
+    class. The learned state of the session comes back after the test."""
 
     def reset():
         m = pretokenize_module
         blocks = {0}
         punct = "".join(filter(m._is_punct, map(chr, range(m._BLOCK))))
+        pattern, nonlexical = m._compile(punct)
         monkeypatch.setattr(m, "_blocks", blocks)
         monkeypatch.setattr(m, "_punct", punct)
-        monkeypatch.setattr(m, "_pattern", m._compile(punct))
+        monkeypatch.setattr(m, "_pattern", pattern)
+        monkeypatch.setattr(m, "_nonlexical", nonlexical)
         monkeypatch.setattr(m, "_unclassified", m._outside(blocks))
 
     reset()

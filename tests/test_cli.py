@@ -455,6 +455,32 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
 
 
 @pytest.mark.parametrize(
+    "section, named",
+    [
+        pytest.param("[langauge:B]\n", "[langauge:B]", id="misspelt-section"),
+        pytest.param("[language]\n", "[language]", id="section-without-name"),
+        pytest.param("[language:]\n", "[language:]", id="empty-name"),
+        pytest.param("[language:B]\ngruoping = X\n", "gruoping", id="misspelt-language-key"),
+    ],
+)
+def test_run_rejects_what_would_drop_a_language(capsys, tmp_path, lang, section, named):
+    # each of these once dropped a language or a grouping and still exited 0
+    corpus, vocab = lang
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[language:A]\ncorpus = {corpus}\nvocab = {vocab}\n"
+        f"{section}corpus = {corpus}\nvocab = {vocab}\n",
+        encoding="utf-8",
+    )
+    code = main(["run", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: ")
+    assert named in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "text, where",
     [
         pytest.param("window = 8\n", ":1:", id="no-section-header"),

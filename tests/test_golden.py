@@ -9,18 +9,23 @@ entries, a word with two references and CRLF lines), numeric columns for
 `stats`, and one `run` config per output format.
 Paths in the configs are relative to `tests/golden/`.
 
+The module needs only the standard library, so it also checks every case
+against its expected file outside pytest, with whichever `morphlens` it
+imports, and names each case that differs:
+
+    python tests/test_golden.py
+
 A change that alters a number must say so and regenerate the expected files:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import io
 import os
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
-
-import pytest
 
 from morphlens.cli import main
 
@@ -187,22 +192,40 @@ def render(name: str, out: Path) -> bytes:
             code = main(argv + ["--out", str(out)])
     finally:
         os.chdir(cwd)
-    assert code == 0
+    if code != 0:
+        raise RuntimeError(f"{name}: exit status {code}")
     return out.read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # one test per case; a hook, not a decorator, so the module imports
+    # without pytest
+    metafunc.parametrize("name", sorted(CASES))
+
+
 def test_golden_bytes(name, tmp_path):
     expected = (EXPECTED / f"{name}.out").read_bytes()
     assert render(name, tmp_path / "out") == expected
 
 
 if __name__ == "__main__":
-    import tempfile
-
-    EXPECTED.mkdir(exist_ok=True)
+    write = sys.argv[1:] == ["--write"]
+    differ = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES):
-            data = render(name, Path(tmp) / name)
-            (EXPECTED / f"{name}.out").write_bytes(data)
-            print(f"{name}: {len(data)} bytes", file=sys.stderr)
+            try:
+                data = render(name, Path(tmp) / name)
+            except RuntimeError as e:
+                print(e, file=sys.stderr)
+                differ.append(name)
+                continue
+            expected = EXPECTED / f"{name}.out"
+            if write:
+                expected.write_bytes(data)
+                print(f"{name}: {len(data)} bytes", file=sys.stderr)
+            elif not expected.exists() or expected.read_bytes() != data:
+                differ.append(name)
+    for name in differ:
+        print(f"{name}: differs from expected/{name}.out", file=sys.stderr)
+    print(f"{len(CASES)} golden cases, {len(differ)} differ")
+    sys.exit(1 if differ else 0)

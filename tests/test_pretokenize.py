@@ -185,9 +185,11 @@ def test_classified_blocks_are_not_learned_again():
 
 
 def test_check_class_widens_after_the_pattern(fresh_pretokenizer, monkeypatch):
-    # a batch that passes the check must be split by a pattern that covers
-    # it, so when learning widens the check class, the published pattern
-    # already holds the punctuation of every block the class adds
+    # a batch or type that passes the check must be read by classes that
+    # cover it, so when learning widens the check class, the published
+    # pattern already holds the punctuation of every block the class adds,
+    # and the published non-lexical class matches exactly the punctuation
+    # and Nd digits of those blocks
     module = sys.modules["morphlens.pretokenize"]
     outside = module._outside
     widenings = 0
@@ -196,8 +198,11 @@ def test_check_class_widens_after_the_pattern(fresh_pretokenizer, monkeypatch):
         nonlocal widenings
         size = module._BLOCK
         codes = (c for b in blocks for c in range(b * size, (b + 1) * size))
-        for ch in filter(_is_punct, map(chr, codes)):
-            assert module._pattern.match(ch + "a").group() == ch, hex(ord(ch))
+        for ch in map(chr, codes):
+            nonlexical = _is_punct(ch) or unicodedata.category(ch) == "Nd"
+            assert (module._nonlexical.search(ch) is not None) == nonlexical, hex(ord(ch))
+            if _is_punct(ch):
+                assert module._pattern.match(ch + "a").group() == ch, hex(ord(ch))
         widenings += 1
         return outside(blocks)
 
@@ -205,7 +210,12 @@ def test_check_class_widens_after_the_pattern(fresh_pretokenizer, monkeypatch):
     lines = ["a«b» c¿d?", "e—f γειά·", "«мир» нет", "的。"]
     for line in lines:
         assert pretokenize_lines([line]) == [_pretokenize_loop(line)]
-    assert widenings == len(lines)
+    # each type holds a character of a block no line had: an Nd digit, a
+    # punctuation mark, a letter beside one, and a letter-number
+    types = ["x٣", "ab։", "ꙮ꙳", "Ⅳx"]
+    for t in types:
+        assert is_lexical(t) == _is_lexical_reference(t, "▁"), t
+    assert widenings == len(lines) + len(types)
 
 
 def test_learned_pattern_equals_loop_on_every_code_point():
@@ -316,15 +326,21 @@ def test_is_lexical_nd_only():
     assert not is_lexical("٣")  # ARABIC-INDIC DIGIT THREE, category Nd
 
 
-def test_is_lexical_exhaustive_below_bmp():
-    # reference scan straight over the Unicode category table
-    for cp in range(0x10000):
-        ch = chr(cp)
-        cat = unicodedata.category(ch)
-        expected = not (cat.startswith("P") or cat == "Nd")
-        if ch == "▁":
-            expected = True  # marker stripped before classification
-        assert is_lexical(ch) == expected, hex(cp)
+def test_is_lexical_on_every_code_point(fresh_pretokenizer):
+    # reference scan straight over the Unicode category table, from ASCII
+    # alone, so `is_lexical` learns every other block itself: from one type
+    # per 4,096 code points, whose answer is checked too, which keeps the
+    # learning steps few; then each code point is read alone
+    for lo in range(0, sys.maxunicode + 1, 0x1000):
+        chars = [chr(cp) for cp in range(lo, lo + 0x1000)]
+        expected = []
+        for ch in chars:
+            cat = unicodedata.category(ch)
+            # the marker is stripped before classification
+            expected.append(ch == "▁" or not (cat.startswith("P") or cat == "Nd"))
+        assert is_lexical("".join(chars), "") == all(expected), hex(lo)
+        for ch, lexical in zip(chars, expected):
+            assert is_lexical(ch) == lexical, hex(ord(ch))
 
 
 def test_isalpha_is_category_letter_on_every_code_point():
@@ -350,21 +366,25 @@ def _is_lexical_reference(s: str, marker: str) -> bool:
     body=st.text(alphabet="aZжλ7٣½²!«_-+<▁", max_size=8),
     marker=st.sampled_from(["▁", "_", ""]),
 )
-@settings(max_examples=300, deadline=None)
-def test_is_lexical_strings_cold_and_warm_cache(markers, body, marker):
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_is_lexical_strings_cold_and_warm_cache(fresh_pretokenizer, markers, body, marker):
     s = "▁" * markers + body
     expected = _is_lexical_reference(s, marker)
-    sys.modules["morphlens.pretokenize"]._lexical_chars.clear()
-    assert is_lexical(s, marker) == expected  # cold: nothing classified yet
+    fresh_pretokenizer()
+    assert is_lexical(s, marker) == expected  # cold: only ASCII classified
     for ch in s:
         is_lexical(ch, "")
-    assert is_lexical(s, marker) == expected  # warm: every character read back
+    assert is_lexical(s, marker) == expected  # warm: every block classified
 
 
 def test_import_classifies_no_character():
     _run_cold(
         """
         import morphlens
-        assert sys.modules["morphlens.pretokenize"]._lexical_chars == {}
+        assert sys.modules["morphlens.pretokenize"]._blocks == {0}
         """
     )

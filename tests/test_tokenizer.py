@@ -463,16 +463,18 @@ def test_tokenize_one_token_per_word():
 
 
 @pytest.mark.parametrize(
-    "pretokenized, records, calls",
+    "pretokenized, pieces, records, calls",
     [
         # the first two pretokens are cached, "c" past the bound is segmented each time
-        (True, [["a"], ["b"], ["c"]], ["a", "b", "c", "c"]),
+        (True, {"▁a": -1.0}, [["a"], ["b"], ["c"]], ["a", "b", "c", "c"]),
         # a whole line is cut before each marker, and its chunks cached alike
-        (False, [["▁a", "▁b", "▁c"]], ["▁a", "▁b", "▁c", "▁c"]),
+        (False, {"▁a": -1.0}, [["▁a", "▁b", "▁c"]], ["▁a", "▁b", "▁c", "▁c"]),
+        # a piece crosses the marker, so the line is one chunk, cached alike
+        (False, {"▁a": -1.0, "a▁b": -1.0}, [["▁a▁b▁c"]], ["▁a▁b▁c"]),
     ],
-    ids=["pretokenized", "wholeline"],
+    ids=["pretokenized", "wholeline", "wholeline-uncut"],
 )
-def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, records, calls):
+def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, pieces, records, calls):
     monkeypatch.setattr(tokenizer, "_SEGMENT_CACHE_MAX", 2)
     seen = []
 
@@ -482,7 +484,7 @@ def test_tokenize_segment_cache_is_bounded(monkeypatch, pretokenized, records, c
 
     monkeypatch.setattr(tokenizer, "segment_viterbi", segment)
     corpus = Corpus.from_lines(["a b c", "a b c"])
-    vocab = Vocabulary(pieces={"▁a": -1.0})
+    vocab = Vocabulary(pieces=pieces)
     lines = line_spans(tokenize_corpus(corpus, vocab, pretokenized=pretokenized))
     assert [pieces for _, spans in lines for _, pieces in spans] == records * 2
     assert seen == calls

@@ -15,6 +15,7 @@ punctuation. So each block is classified once per process, the learned
 state grows with the blocks met, not with each distinct character, and
 there is no Unicode table to keep in step with the UCD. `is_lexical` learns
 the same blocks and searches a class `[\\dP]` recompiled with the pattern.
+Learning replaces the blocks, their punctuation and the classes as one value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 import threading
 import unicodedata
-from typing import List, Tuple
+from typing import FrozenSet, List, Optional
 
 DEFAULT_MARKER = "▁"  # the low-line-block word-boundary convention
 
@@ -33,37 +34,38 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P") and not ch.isspace()
 
 
-def _compile(punct: str) -> Tuple[re.Pattern, re.Pattern]:
-    # maximal runs of punctuation or of anything but whitespace and
-    # punctuation; and the non-lexical class (in a str pattern, \d is Nd)
-    cls = re.escape(punct)
-    return re.compile(f"[{cls}]+|[^\\s{cls}]+"), re.compile(f"[\\d{cls}]")
+class _Classes:
+    """The learned classes of `blocks`, never changed once built. Only blocks
+    not in `old` are classified; only their punctuation recompiles the pattern."""
 
+    __slots__ = ("blocks", "punct", "pattern", "nonlexical", "unclassified")
 
-def _outside(blocks) -> re.Pattern:
-    # any code point outside the blocks, as one range per run of adjacent blocks
-    runs: List[List[int]] = []
-    for b in sorted(blocks):
-        if runs and runs[-1][1] == b:
-            runs[-1][1] = b + 1
+    def __init__(self, blocks: FrozenSet[int], old: Optional[_Classes] = None):
+        new = blocks - old.blocks if old else blocks
+        codes = (c for b in new for c in range(b * _BLOCK, (b + 1) * _BLOCK))
+        punct = "".join(filter(_is_punct, map(chr, codes)))
+        self.blocks = blocks
+        if old and not punct:
+            self.punct, self.pattern, self.nonlexical = old.punct, old.pattern, old.nonlexical
         else:
-            runs.append([b, b + 1])
-    ranges = "".join(f"\\U{lo * _BLOCK:08x}-\\U{hi * _BLOCK - 1:08x}" for lo, hi in runs)
-    return re.compile(f"[^{ranges}]")
+            self.punct = (old.punct if old else "") + punct
+            cls = re.escape(self.punct)
+            # maximal runs of punctuation or of neither it nor whitespace; and
+            # punctuation or a digit (in a str pattern, \d is Nd)
+            self.pattern = re.compile(f"[{cls}]+|[^\\s{cls}]+")
+            self.nonlexical = re.compile(f"[\\d{cls}]")
+        # the check class: any code point outside the blocks, one range per run of them
+        starts = sorted(b for b in blocks if b - 1 not in blocks)
+        ends = sorted(b + 1 for b in blocks if b + 1 not in blocks)
+        ranges = "".join(f"\\U{lo * _BLOCK:08x}-\\U{hi * _BLOCK - 1:08x}" for lo, hi in zip(starts, ends))
+        self.unclassified = re.compile(f"[^{ranges}]")
 
 
-# The classified blocks of code points, their punctuation, the two classes
-# built from it, and the check class of everything else: process-wide state,
-# but only a cache of fixed facts, so no caller sees another's effect in its
-# output. Learning holds the lock and publishes the wider classes before the
-# narrower check class, so a batch or type that the check passes is read by
-# classes that cover all its characters.
+# A process-wide cache of fixed facts, so no caller sees another's effect in
+# its output; learning replaces the whole value under the lock.
 _BLOCK = 128
 _lock = threading.Lock()
-_blocks = {0}
-_punct = "".join(filter(_is_punct, map(chr, range(_BLOCK))))
-_pattern, _nonlexical = _compile(_punct)
-_unclassified = _outside(_blocks)
+_learned = _Classes(frozenset({0}))
 
 
 def pretokenize(line: str) -> List[str]:
@@ -80,25 +82,22 @@ def pretokenize_lines(lines: List[str]) -> List[List[str]]:
     """`pretokenize` of each line, in order, checking the lines for new
     characters once for all of them."""
     text = "".join(lines)
-    if not text.isascii() and _unclassified.search(text):
-        _learn(text)
-    return list(map(_pattern.findall, lines))
+    learned = _learned
+    if not text.isascii() and learned.unclassified.search(text):
+        learned = _learn(text)
+    return list(map(learned.pattern.findall, lines))
 
 
-def _learn(text: str) -> None:
-    global _pattern, _nonlexical, _punct, _unclassified
+def _learn(text: str) -> _Classes:
+    """Classes that cover every character of `text`, learning its new blocks."""
+    global _learned
     with _lock:
         # another thread may have classified some of the blocks meanwhile
-        new = {ord(ch) // _BLOCK for ch in set(text)} - _blocks
-        if not new:
-            return
-        codes = (c for b in new for c in range(b * _BLOCK, (b + 1) * _BLOCK))
-        punct = "".join(filter(_is_punct, map(chr, codes)))
-        if punct:
-            _punct += punct
-            _pattern, _nonlexical = _compile(_punct)
-        _blocks.update(new)
-        _unclassified = _outside(_blocks)
+        learned = _learned
+        new = {ord(ch) // _BLOCK for ch in set(text)} - learned.blocks
+        if new:
+            learned = _learned = _Classes(learned.blocks | new, learned)
+        return learned
 
 
 def is_lexical(type_string: str, marker: str = DEFAULT_MARKER) -> bool:
@@ -110,6 +109,7 @@ def is_lexical(type_string: str, marker: str = DEFAULT_MARKER) -> bool:
     stripped = type_string.lstrip(marker) if marker else type_string
     if stripped.isalpha():
         return True
-    if _unclassified.search(stripped):
-        _learn(stripped)
-    return _nonlexical.search(stripped) is None
+    learned = _learned
+    if learned.unclassified.search(stripped):
+        learned = _learn(stripped)
+    return learned.nonlexical.search(stripped) is None

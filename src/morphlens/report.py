@@ -101,8 +101,10 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         text = read_text(path, ConfigError)
     except OSError:
         raise ConfigError(f"cannot read config file {path!r}") from None
-    # values are literal: a "%" in a path is not an interpolation
-    parser = configparser.ConfigParser(interpolation=None)
+    # values are literal: a "%" in a path is not an interpolation; and no
+    # section is the default one, whose keys configparser copies into every
+    # other section, so [DEFAULT] is an unknown section like any other
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(text, source=os.fspath(path))
         sections = {s: dict(parser[s]) for s in parser.sections()}

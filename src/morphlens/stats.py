@@ -475,6 +475,8 @@ def ols_simple(x: Sample, y: Sample) -> RegressionResult:
         raise StatsError("predictor has zero variance")
     sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
     syy = _sum((b - my) ** 2 for b in y.values)
+    if syy == 0:
+        raise StatsError("response has zero variance")
     beta1 = sxy / sxx
     beta0 = my - beta1 * mx
     rss = syy - beta1 * sxy
@@ -488,6 +490,6 @@ def ols_simple(x: Sample, y: Sample) -> RegressionResult:
     else:
         t1 = beta1 / se1
         p1 = 2.0 * t_sf(abs(t1), n - 2)
-    r2 = 1.0 - rss / syy if syy else 0.0
+    r2 = 1.0 - rss / syy
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return RegressionResult(beta0, beta1, se1, t1, p1, r2, adj_r2, n)

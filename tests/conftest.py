@@ -11,21 +11,13 @@ pretokenize_module = sys.modules["morphlens.pretokenize"]
 
 @pytest.fixture
 def fresh_pretokenizer(monkeypatch):
-    """Reset the pretokenizer's learned state to ASCII, as in a new process,
-    now and at each call of the returned function: the classified blocks,
-    their punctuation, the pattern, the non-lexical class and the check
-    class. The learned state of the session comes back after the test."""
+    """Reset the pretokenizer's learned classes to those of ASCII, as in a
+    new process, now and at each call of the returned function. The learned
+    classes of the session come back after the test."""
 
     def reset():
         m = pretokenize_module
-        blocks = {0}
-        punct = "".join(filter(m._is_punct, map(chr, range(m._BLOCK))))
-        pattern, nonlexical = m._compile(punct)
-        monkeypatch.setattr(m, "_blocks", blocks)
-        monkeypatch.setattr(m, "_punct", punct)
-        monkeypatch.setattr(m, "_pattern", pattern)
-        monkeypatch.setattr(m, "_nonlexical", nonlexical)
-        monkeypatch.setattr(m, "_unclassified", m._outside(blocks))
+        monkeypatch.setattr(m, "_learned", m._Classes(frozenset({0})))
 
     reset()
     return reset

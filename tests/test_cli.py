@@ -461,10 +461,12 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
         pytest.param("[language]\n", "[language]", id="section-without-name"),
         pytest.param("[language:]\n", "[language:]", id="empty-name"),
         pytest.param("[language:B]\ngruoping = X\n", "gruoping", id="misspelt-language-key"),
+        pytest.param("[DEFAULT]\n", "[DEFAULT]", id="default-section"),
     ],
 )
 def test_run_rejects_what_would_drop_a_language(capsys, tmp_path, lang, section, named):
-    # each of these once dropped a language or a grouping and still exited 0
+    # each of these once dropped a language or a grouping, or gave its keys
+    # to every language, and still exited 0
     corpus, vocab = lang
     config = tmp_path / "run.ini"
     config.write_text(

@@ -56,6 +56,7 @@ def _run_cold(body: str) -> None:
             "from morphlens.pretokenize import pretokenize",
             inspect.getsource(_is_punct),
             inspect.getsource(_pretokenize_loop),
+            inspect.getsource(_is_lexical_reference),
             textwrap.dedent(body),
         ]
     )
@@ -158,10 +159,11 @@ def test_learning_classifies_whole_blocks(fresh_pretokenizer, lines):
     fresh_pretokenizer()
     module = sys.modules["morphlens.pretokenize"]
     pretokenize_lines(lines)
-    assert module._unclassified.search("".join(lines)) is None
+    learned = module._learned
+    assert learned.unclassified.search("".join(lines)) is None
     size = module._BLOCK
-    classified = [chr(c) for b in module._blocks for c in range(b * size, (b + 1) * size)]
-    assert sorted(module._punct) == sorted(filter(_is_punct, classified))
+    classified = [chr(c) for b in learned.blocks for c in range(b * size, (b + 1) * size)]
+    assert sorted(learned.punct) == sorted(filter(_is_punct, classified))
 
 
 def test_classified_blocks_are_not_learned_again():
@@ -176,37 +178,39 @@ def test_classified_blocks_are_not_learned_again():
         second = ["ЖЗИЙ ѐё", "ΩΨ ¿¡ ·.§"]
         assert not set("".join(first)) & set("".join(second)) - set(" ,.")
         pretokenize_lines(first)
-        pattern, check = module._pattern, module._unclassified
+        learned = module._learned
         assert pretokenize_lines(second) == [_pretokenize_loop(line) for line in second]
-        assert module._pattern is pattern
-        assert module._unclassified is check
+        assert module._learned is learned
         """
     )
 
 
-def test_check_class_widens_after_the_pattern(fresh_pretokenizer, monkeypatch):
-    # a batch or type that passes the check must be read by classes that
-    # cover it, so when learning widens the check class, the published
-    # pattern already holds the punctuation of every block the class adds,
-    # and the published non-lexical class matches exactly the punctuation
-    # and Nd digits of those blocks
+def test_every_learned_value_covers_its_blocks(fresh_pretokenizer, monkeypatch):
+    # a batch or type that passes a value's check class is read by the same
+    # value's classes, so every value the builder returns must agree with
+    # its blocks: the check class passes them, the punctuation is theirs,
+    # the non-lexical class matches exactly their punctuation and Nd
+    # digits, and the pattern splits off each of their punctuation marks
     module = sys.modules["morphlens.pretokenize"]
-    outside = module._outside
-    widenings = 0
+    build = module._Classes
+    steps = 0
 
-    def checked(blocks):
-        nonlocal widenings
+    def checked(blocks, old=None):
+        nonlocal steps
+        learned = build(blocks, old)
         size = module._BLOCK
-        codes = (c for b in blocks for c in range(b * size, (b + 1) * size))
+        codes = [c for b in learned.blocks for c in range(b * size, (b + 1) * size)]
+        assert sorted(learned.punct) == sorted(filter(_is_punct, map(chr, codes)))
         for ch in map(chr, codes):
+            assert learned.unclassified.search(ch) is None, hex(ord(ch))
             nonlexical = _is_punct(ch) or unicodedata.category(ch) == "Nd"
-            assert (module._nonlexical.search(ch) is not None) == nonlexical, hex(ord(ch))
+            assert (learned.nonlexical.search(ch) is not None) == nonlexical, hex(ord(ch))
             if _is_punct(ch):
-                assert module._pattern.match(ch + "a").group() == ch, hex(ord(ch))
-        widenings += 1
-        return outside(blocks)
+                assert learned.pattern.match(ch + "a").group() == ch, hex(ord(ch))
+        steps += 1
+        return learned
 
-    monkeypatch.setattr(module, "_outside", checked)
+    monkeypatch.setattr(module, "_Classes", checked)
     lines = ["a«b» c¿d?", "e—f γειά·", "«мир» нет", "的。"]
     for line in lines:
         assert pretokenize_lines([line]) == [_pretokenize_loop(line)]
@@ -215,7 +219,7 @@ def test_check_class_widens_after_the_pattern(fresh_pretokenizer, monkeypatch):
     types = ["x٣", "ab։", "ꙮ꙳", "Ⅳx"]
     for t in types:
         assert is_lexical(t) == _is_lexical_reference(t, "▁"), t
-    assert widenings == len(lines) + len(types)
+    assert steps == len(lines) + len(types)
 
 
 def test_learned_pattern_equals_loop_on_every_code_point():
@@ -237,7 +241,7 @@ def test_learning_order_in_a_fresh_interpreter():
     _run_cold(
         """
         module = sys.modules["morphlens.pretokenize"]
-        start = module._pattern
+        start = module._learned.pattern
         lines = [
             "привет мир, как дела",  # new letters only: no recompile
             "a«b» c¿d? e—f",  # then new punctuation marks
@@ -245,7 +249,7 @@ def test_learning_order_in_a_fresh_interpreter():
         ]
         for k, line in enumerate(lines):
             assert pretokenize(line) == _pretokenize_loop(line), line
-            assert (module._pattern is start) == (k == 0), line
+            assert (module._learned.pattern is start) == (k == 0), line
         for line in lines:
             assert pretokenize(line) == _pretokenize_loop(line), line
         """
@@ -256,11 +260,14 @@ def test_learning_from_four_threads():
     # Each thread splits its own script from a cold start, so the threads
     # learn at once. Then, all letters known, they all meet the same new
     # punctuation marks in the same order: a thread that finds a mark
-    # already known must also find a pattern that covers it. A tiny switch
-    # interval interleaves the threads finely.
+    # already known must also find a pattern that covers it. Last, they all
+    # ask `is_lexical` about the same characters of blocks no line had, in
+    # the same order, which holds for the non-lexical class too. A tiny
+    # switch interval interleaves the threads finely.
     _run_cold(
         """
         import random, threading
+        from morphlens.pretokenize import is_lexical
         sys.setswitchinterval(1e-6)
         scripts = [
             ("абвгдежзийклмнопрстуфхцчшщъыьэюя", "«»„“…"),
@@ -269,6 +276,10 @@ def test_learning_from_four_threads():
             ("的一是不了人我在有他这中大来上国个到说们", "。、「」『』〈〉"),
         ]
         shared = "‐‑‒–—―‖‗‘’‚‛”‟†‡•‣․‥‧‰‱′″‴‵‶‷‸‹›※‼‽‾‿⁀⁁⁂⁃⁅⁆⁇⁈⁉⁊⁋⁌⁍⁎⁏⁐⁑⁓⁔⁕⁖⁗⁘⁙⁚⁛⁜⁝⁞"
+        # Nd digits, punctuation marks, letters, a letter-number and a
+        # symbol, each from a block that no line has, the last three outside
+        # the BMP
+        fresh = "৩๓᠐０։።។༄！\u037eაꙮ꙳Ⅳ𝟎𒑰😀"
         barrier = threading.Barrier(len(scripts), timeout=60)
         failures = []
 
@@ -288,6 +299,12 @@ def test_learning_from_four_threads():
                 for line in lines:
                     if pretokenize(line) != _pretokenize_loop(line):
                         failures.append(line)
+            # "½" (No) keeps each type off the letters-only shortcut
+            types = [word + ch + "½" for ch in fresh]
+            barrier.wait()
+            for t in types:
+                if is_lexical(t) != _is_lexical_reference(t, "▁"):
+                    failures.append(t)
 
         threads = [
             threading.Thread(target=split, args=(seed, *script))
@@ -385,6 +402,6 @@ def test_import_classifies_no_character():
     _run_cold(
         """
         import morphlens
-        assert sys.modules["morphlens.pretokenize"]._blocks == {0}
+        assert sys.modules["morphlens.pretokenize"]._learned.blocks == {0}
         """
     )

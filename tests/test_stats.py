@@ -460,3 +460,6 @@ def test_ols_validation():
         ols_simple(S(1, 1, 1), S(1, 2, 3))
     with pytest.raises(StatsError):
         ols_simple(S(1, 2), S(1, 2))
+    # a constant response has no slope to test, not a significant zero one
+    with pytest.raises(StatsError, match="response has zero variance"):
+        ols_simple(S(1, 2, 3, 4), S(5, 5, 5, 5))

@@ -21,16 +21,15 @@ other commands never load them.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from itertools import chain, islice
 from typing import Iterable, Iterator, List, Optional
 
 from . import bigram as bigram_mod
+from . import report as report_mod
 from .corpus import CorpusError, InputError, byte_premium, corpus_counts, read_lines
 from .report import ComparisonReport, ConfigError, emit, load_config
-from .report import run as run_pipeline
 from .tokenizer import (
     SpanBatch,
     load_vocab,
@@ -67,30 +66,16 @@ def _error(message: str, code: int) -> int:
     return code
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of counts that must be at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _flag(read):
+    """The argparse type of a `report` reader: its `ValueError` is a usage error."""
 
-
-def _float_type(accept, expected: str):
-    """argparse type of numbers for which `accept` holds (never for nan)."""
-
-    def parse(text: str) -> float:
+    def parse(text: str):
         try:
-            value = float(text)
-        except ValueError:
-            value = math.nan
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        return value
+            return read(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
 
     return parse
-
-
-_nonnegative_float = _float_type(lambda v: 0 <= v < math.inf, "a finite number >= 0")
-_probability = _float_type(lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _segmented(args, pretokenized: bool = True, **record):
@@ -197,7 +182,7 @@ def cmd_stats(args) -> List[str]:
 def cmd_run(args) -> Iterator[str]:
     config = load_config(args.config)
     _check_out(args.out, (path for lang in config.languages for path in (lang.corpus, lang.vocab)))
-    report = run_pipeline(config)
+    report = report_mod.run(config)
     return _then_failed_rows(report, emit(report, config.format, config.percent))
 
 
@@ -240,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bigram", parents=[segmenting], help="accessor-variety metrics report")
     p.add_argument("corpus")
-    p.add_argument("--window", type=_positive_int, default=bigram_mod.DEFAULT_WINDOW)
-    p.add_argument("--stride", type=_positive_int, default=1)
+    p.add_argument("--window", type=_flag(report_mod.read_positive_int), default=bigram_mod.DEFAULT_WINDOW)
+    p.add_argument("--stride", type=_flag(report_mod.read_positive_int), default=1)
     p.add_argument("--no-pretokenize", action="store_true")
     p.add_argument("--percent", action="store_true")
     p.add_argument(
@@ -259,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unigram", parents=[segmenting], help="token-unigram metrics report")
     p.add_argument("corpus")
-    p.add_argument("--mattr-window", type=_positive_int, default=DEFAULT_MATTR_WINDOW)
-    p.add_argument("--alpha", type=_nonnegative_float, default=DEFAULT_RENYI_ALPHA)
+    p.add_argument("--mattr-window", type=_flag(report_mod.read_positive_int), default=DEFAULT_MATTR_WINDOW)
+    p.add_argument("--alpha", type=_flag(report_mod.read_nonnegative), default=DEFAULT_RENYI_ALPHA)
     p.set_defaults(func=cmd_unigram)
 
     p = sub.add_parser("align", parents=[segmenting], help="morphological boundary evaluation")
@@ -271,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", parents=[output], help="hypothesis tests and regression")
     p.add_argument("test", choices=list(_STATS_ARITY))
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
-    p.add_argument("--alpha", type=_probability, default=0.05)
+    p.add_argument("--alpha", type=_flag(report_mod.read_probability), default=0.05)
     p.add_argument("--alternative", choices=_ALTERNATIVES, default="two-sided")
-    p.add_argument("--k", type=_positive_int, default=3, help="duplication factor for dup")
+    p.add_argument("--k", type=_flag(report_mod.read_positive_int), default=3, help="duplication factor for dup")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(

@@ -51,6 +51,15 @@ class LanguageSpec(NamedTuple):
     grouping: str = ""
 
 
+# ratio-valued columns scaled by 100 in percent mode; AV, MTL, and MWL stay
+_PERCENT_COLUMNS = ("eta", "au", "lr", "mattr", "re", "s")
+
+# `CorpusCounts` fields, printed as integers
+_COUNT_COLUMNS = ("ccc", "cbc", "cwc", "csc", "ctc")
+
+_NUMERIC_COLUMNS = ("av", "eta", "au", "lr", "mattr", "mtl", "re", "s", "mwl") + _COUNT_COLUMNS
+
+
 class RunConfig(NamedTuple):
     languages: List[LanguageSpec]
     window: int = DEFAULT_WINDOW
@@ -64,20 +73,14 @@ class RunConfig(NamedTuple):
     sort_by: str = "eta"
 
     def validate(self) -> None:
-        for key in ("window", "stride", "mattr_window"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if not 0 <= self.alpha < math.inf:  # also rejects nan
-            raise ConfigError("alpha must be finite and >= 0")
-        if self.sort_by not in _NUMERIC_COLUMNS:
-            raise ConfigError(
-                f"unknown sort_by column {self.sort_by!r}; "
-                f"expected one of {', '.join(_NUMERIC_COLUMNS)}"
-            )
+        # a setting is valid when its reader gives it back from its text, so
+        # `window="8"`, `window=2.5` and `pretokenized="no"` are config errors
+        for key in _RUN_READERS:
+            value = getattr(self, key)
+            if _read_run_key(key, str(value)) != value:
+                raise ConfigError(f"[run] {key}: {value!r} is a {type(value).__name__}")
         if not self.languages:
             raise ConfigError("no languages configured")
-        if self.format not in ("tsv", "csv", "json"):
-            raise ConfigError(f"unknown output format {self.format!r}")
         for lang in self.languages:
             for key in ("corpus", "vocab"):
                 path = getattr(lang, key)
@@ -88,15 +91,58 @@ class RunConfig(NamedTuple):
                     )
 
 
-_RUN_KEYS = set(RunConfig._fields) - {"languages"}
+def _reader(parse, expected: str, accept=lambda value: True):
+    """A reader of an option's text, for a flag and a `[run]` key alike: the
+    value `parse` makes of it, unless that is None or fails `accept`, when it
+    raises a `ValueError` that names what was `expected`."""
+
+    def read(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise ValueError(f"expected {expected}, got {text!r}")
+        return value
+
+    return read
+
+
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+
+read_positive_int = _reader(int, "a positive integer", lambda v: v >= 1)
+read_nonnegative = _reader(float, "a finite number >= 0", lambda v: 0 <= v < math.inf)  # not nan
+read_probability = _reader(float, "a number in (0, 1)", lambda v: 0 < v < 1)
+read_boolean = _reader(lambda text: _BOOLEANS.get(text.strip().lower()), f"one of {', '.join(_BOOLEANS)}")
+
+# the reader of each `[run]` key, which is a `RunConfig` field
+_RUN_READERS = {
+    "window": read_positive_int,
+    "stride": read_positive_int,
+    "mattr_window": read_positive_int,
+    "alpha": read_nonnegative,
+    "pretokenized": read_boolean,
+    "greedy": read_boolean,
+    "percent": read_boolean,
+    "format": _reader(str, "one of tsv, csv, json", ("tsv", "csv", "json").__contains__),
+    "sort_by": _reader(str, f"one of {', '.join(_NUMERIC_COLUMNS)}", _NUMERIC_COLUMNS.__contains__),
+}
 _LANGUAGE_KEYS = set(LanguageSpec._fields) - {"name"}
 
 
+def _read_run_key(key: str, text: str):
+    try:
+        return _RUN_READERS[key](text)
+    except ValueError as e:
+        raise ConfigError(f"[run] {key}: {e}") from None
+
+
 def load_config(path: Union[str, os.PathLike]) -> RunConfig:
-    """Read and check a run config. Relative `corpus` and `vocab` paths are
-    resolved against the working directory, not the config's directory.
-    Every problem with the file, down to its INI syntax and an unknown
-    section or key, is a `ConfigError`."""
+    """Read and check a run config. Each `[run]` value is read by its key's
+    reader in `_RUN_READERS`, as the matching CLI flag is. Relative `corpus`
+    and `vocab` paths resolve against the working directory, not the config's
+    directory. Every problem with the file, down to its INI syntax, an unknown
+    section or key and a value its reader rejects, is a `ConfigError`."""
     try:
         text = read_text(path, ConfigError)
     except OSError:
@@ -111,7 +157,7 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
     except configparser.Error as e:
         raise ConfigError(_syntax_message(os.fspath(path), e)) from None
     run = sections.pop("run", {})
-    unknown = sorted(set(run) - _RUN_KEYS)
+    unknown = sorted(run.keys() - _RUN_READERS.keys())
     if unknown:
         raise ConfigError(f"[run]: unknown key(s) {', '.join(unknown)}")
     languages = []
@@ -137,12 +183,7 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
             )
         )
 
-    settings = {
-        key: _parse_run_value(key, run[key], type(default))
-        for key, default in RunConfig._field_defaults.items()
-        if key in run
-    }
-    config = RunConfig(languages=languages, **settings)
+    config = RunConfig(languages, **{key: _read_run_key(key, text) for key, text in run.items()})
     config.validate()
     return config
 
@@ -160,22 +201,6 @@ def _syntax_message(where: str, e: configparser.Error) -> str:
         return f"{where}:{e.errors[0][0]}: expected 'key = value' or a [section] header"
     # some configparser messages span lines
     return f"{where}: {' '.join(str(e).split())}"
-
-
-def _parse_run_value(key: str, raw: str, kind: type):
-    """Parse one `[run]` value as the type of its `RunConfig` default."""
-    if kind is bool:
-        words = configparser.ConfigParser.BOOLEAN_STATES
-        if raw.strip().lower() not in words:
-            raise ConfigError(f"[run] {key}: expected one of {', '.join(words)}, got {raw!r}")
-        return words[raw.strip().lower()]
-    if kind is str:
-        return raw
-    try:
-        return kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"[run] {key}: expected {noun}, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +259,6 @@ def analyze_language(
 
 # ---------------------------------------------------------------------------
 # Multi-language report
-
-
-# ratio-valued columns scaled by 100 in percent mode; AV, MTL, and MWL stay
-_PERCENT_COLUMNS = ("eta", "au", "lr", "mattr", "re", "s")
-
-# `CorpusCounts` fields, printed as integers
-_COUNT_COLUMNS = ("ccc", "cbc", "cwc", "csc", "ctc")
-
-_NUMERIC_COLUMNS = ("av", "eta", "au", "lr", "mattr", "mtl", "re", "s", "mwl") + _COUNT_COLUMNS
 
 
 class ReportRow(NamedTuple):

@@ -485,11 +485,9 @@ def ols_simple(x: Sample, y: Sample) -> RegressionResult:
     sigma2 = rss / (n - 2)
     se1 = math.sqrt(sigma2 / sxx)
     if se1 == 0:
-        t1 = math.inf
-        p1 = 0.0
-    else:
-        t1 = beta1 / se1
-        p1 = 2.0 * t_sf(abs(t1), n - 2)
+        raise StatsError("exact fit: the slope's standard error is zero")
+    t1 = beta1 / se1
+    p1 = 2.0 * t_sf(abs(t1), n - 2)
     r2 = 1.0 - rss / syy
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return RegressionResult(beta0, beta1, se1, t1, p1, r2, adj_r2, n)

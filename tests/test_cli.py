@@ -16,7 +16,7 @@ import morphlens
 from morphlens import cli
 from morphlens.cli import main
 from morphlens.corpus import BATCH_LINES, InputError, read_lines
-from morphlens.report import analyze_language
+from morphlens.report import ConfigError, analyze_language, load_config
 from morphlens.tokenizer import load_vocab
 
 
@@ -707,7 +707,7 @@ def test_run_value_error_names_key_and_type(capsys, tmp_path, lang):
     )
     assert main(["run", "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
-        "config error: [run] window: expected an integer, got 'abc'\n"
+        "config error: [run] window: expected a positive integer, got 'abc'\n"
     )
 
 
@@ -849,6 +849,42 @@ def test_out_of_range_options_are_usage_errors(capsys, argv, expected):
     assert expected in err
 
 
+# the command and flag that set each `[run]` key's option
+FLAG_OF_RUN_KEY = {
+    "window": ("bigram", "--window"),
+    "stride": ("bigram", "--stride"),
+    "mattr_window": ("unigram", "--mattr-window"),
+    "alpha": ("unigram", "--alpha"),
+}
+
+
+@pytest.mark.parametrize("text", ["0", "-1", "abc", "nan", "inf", "+8", " 8"])
+@pytest.mark.parametrize("key", list(FLAG_OF_RUN_KEY))
+def test_flag_and_run_key_read_the_same_text(capsys, tmp_path, lang, key, text):
+    # one reader per option: a flag and its `[run]` key accept the same texts
+    # as the same value, and reject the same texts (exit 2) with one message
+    corpus, vocab = lang
+    command, flag = FLAG_OF_RUN_KEY[key]
+    try:
+        args = cli.build_parser().parse_args([command, str(corpus), "--vocab", str(vocab), f"{flag}={text}"])
+        from_flag = repr(getattr(args, key))
+    except SystemExit as e:
+        assert e.code == 2
+        err = capsys.readouterr().err
+        from_flag = err[err.index("expected "):]
+    config = tmp_path / "run.ini"
+    config.write_text(f"[run]\n{key} = {text}\n[language:L]\ncorpus = {corpus}\nvocab = {vocab}\n", encoding="utf-8")
+    try:
+        from_run_key = repr(getattr(load_config(config), key))
+    except ConfigError:
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        from_run_key = err[err.index("expected "):]
+    assert from_flag == from_run_key
+    accepted = {"+8", " 8", "0"} if key == "alpha" else {"+8", " 8"}
+    assert from_flag.startswith("expected ") == (text not in accepted)
+
+
 @pytest.mark.parametrize(
     "test, n_files",
     [("welch", 1), ("gap", 2), ("holm", 2), ("dup", 3), ("ols", 1)],
@@ -891,6 +927,19 @@ def test_stats_bad_input_is_one_line_error(capsys, tmp_path, content, message):
     assert err.startswith("morphlens: error: ")
     assert message in err
     assert err.count("\n") == 1
+
+
+def test_stats_ols_exact_fit_is_one_line_error(capsys, tmp_path):
+    # its slope t would be infinite, and `"t1": Infinity` is not JSON
+    x = tmp_path / "x.csv"
+    y = tmp_path / "y.csv"
+    x.write_text("1\n2\n3\n4\n", encoding="utf-8")
+    y.write_text("2\n4\n6\n8\n", encoding="utf-8")
+    code = main(["stats", "ols", "--in", str(x), str(y)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "morphlens: error: exact fit: the slope's standard error is zero\n"
 
 
 # --- generated corpora at the command boundary ------------------------------

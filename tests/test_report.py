@@ -19,7 +19,7 @@ from morphlens.report import (
     LanguageSpec,
     ReportRow,
     RunConfig,
-    _RUN_KEYS,
+    _RUN_READERS,
     analyze_language,
     emit,
     load_config,
@@ -112,11 +112,29 @@ def test_load_config_missing_corpus_path(tmp_path):
 
 
 def test_run_keys_are_the_config_fields_but_languages():
-    # `load_config` parses each key as the type of its default
-    assert _RUN_KEYS == set(RunConfig._fields) - {"languages"} == set(RunConfig._field_defaults)
-    assert _RUN_KEYS == {
+    # `load_config` reads each key with its reader, which reads each default
+    # back from its text
+    assert set(_RUN_READERS) == set(RunConfig._fields) - {"languages"} == set(RunConfig._field_defaults)
+    assert set(_RUN_READERS) == {
         "window", "stride", "mattr_window", "alpha", "pretokenized", "greedy", "percent", "format", "sort_by"
     }
+    for key, default in RunConfig._field_defaults.items():
+        assert _RUN_READERS[key](str(default)) == default
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [{"window": "8"}, {"window": 2.5}, {"pretokenized": "no"}],
+    ids=["window-str", "window-float", "pretokenized-str"],
+)
+def test_validate_rejects_a_setting_of_another_type(tmp_path, setting):
+    # a `RunConfig` built in code is checked as its text in a config file
+    # would be: "8" is not the integer 8, and the string "no" is not false
+    ca, va = write_language(tmp_path, "la", CORPUS_A, VOCAB_A)
+    config = RunConfig(languages=[LanguageSpec("X", str(ca), str(va))], **setting)
+    (key,) = setting
+    with pytest.raises(ConfigError, match=re.escape(f"[run] {key}: ")):
+        config.validate()
 
 
 def test_config_no_languages():

@@ -391,11 +391,14 @@ def test_duplication_k_validation():
 
 
 def test_ols_perfect_fit():
+    # an exact fit has no slope t-test (see test_ols_validation), so the line
+    # 2x + 1 gets an alternating error of 0.001; its sum against x - 5.5 is
+    # 0.005, and sxx is 82.5
     x = S(*range(1, 11))
-    y = Sample.of([2 * v + 1 for v in x.values])
+    y = Sample.of([2 * v + 1 + (-1) ** v * 1e-3 for v in x.values])
     r = ols_simple(x, y)
-    assert r.beta1 == pytest.approx(2.0, abs=1e-12)
-    assert r.beta0 == pytest.approx(1.0, abs=1e-12)
+    assert r.beta1 == pytest.approx(2.0 + 0.005 / 82.5, abs=1e-12)
+    assert r.beta0 == pytest.approx(1.0 - 5.5 * 0.005 / 82.5, abs=1e-12)
     assert r.r2 == pytest.approx(1.0)
 
 
@@ -463,3 +466,9 @@ def test_ols_validation():
     # a constant response has no slope to test, not a significant zero one
     with pytest.raises(StatsError, match="response has zero variance"):
         ols_simple(S(1, 2, 3, 4), S(5, 5, 5, 5))
+    # nor does an exact fit, whose slope has a zero standard error: its t
+    # would be infinite, which JSON cannot hold
+    with pytest.raises(StatsError, match="exact fit"):
+        ols_simple(S(1, 2, 3, 4), S(2, 4, 6, 8))
+    with pytest.raises(StatsError, match="exact fit"):
+        ols_simple(S(*range(1, 11)), Sample.of([2 * v + 1 for v in range(1, 11)]))

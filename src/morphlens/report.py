@@ -73,8 +73,10 @@ class RunConfig(NamedTuple):
     sort_by: str = "eta"
 
     def validate(self) -> None:
-        # a setting is valid when its reader gives it back from its text, so
-        # `window="8"`, `window=2.5` and `pretokenized="no"` are config errors
+        """Raise a `ConfigError` for a config, read or built in Python alike,
+        that cannot run. A setting must be what its reader gives back from its
+        text, so `window="8"` and `pretokenized="no"` fail; each language needs
+        a name, no tab or line break in its name or grouping, and its files."""
         for key in _RUN_READERS:
             value = getattr(self, key)
             if _read_run_key(key, str(value)) != value:
@@ -82,6 +84,13 @@ class RunConfig(NamedTuple):
         if not self.languages:
             raise ConfigError("no languages configured")
         for lang in self.languages:
+            section = f"language:{lang.name}"
+            if not lang.name:
+                raise ConfigError(f"{section!r}: a language needs a name")
+            if any(c in lang.name + lang.grouping for c in "\t\r\n"):
+                raise ConfigError(
+                    f"{section!r}: a name or grouping cannot hold a tab or line break, as TSV has no quoting"
+                )
             for key in ("corpus", "vocab"):
                 path = getattr(lang, key)
                 if not os.path.exists(path):
@@ -138,11 +147,11 @@ def _read_run_key(key: str, text: str):
 
 
 def load_config(path: Union[str, os.PathLike]) -> RunConfig:
-    """Read and check a run config. Each `[run]` value is read by its key's
-    reader in `_RUN_READERS`, as the matching CLI flag is. Relative `corpus`
-    and `vocab` paths resolve against the working directory, not the config's
-    directory. Every problem with the file, down to its INI syntax, an unknown
-    section or key and a value its reader rejects, is a `ConfigError`."""
+    """Read a run config and check it with `RunConfig.validate`. Itself it
+    checks only what the INI form can get wrong: syntax, an unknown section or
+    key, a missing `corpus` or `vocab`. Each `[run]` value is read by its key's
+    reader, as the matching CLI flag is. Relative paths resolve against the
+    working directory, not the config's. Every problem is a `ConfigError`."""
     try:
         text = read_text(path, ConfigError)
     except OSError:
@@ -162,26 +171,14 @@ def load_config(path: Union[str, os.PathLike]) -> RunConfig:
         raise ConfigError(f"[run]: unknown key(s) {', '.join(unknown)}")
     languages = []
     for section, entry in sections.items():
-        name = section[len("language:") :]
-        if not section.startswith("language:") or not name:
+        if not section.startswith("language:"):
             raise ConfigError(f"[{section}]: unknown section; expected [run] or [language:NAME]")
         unknown = sorted(set(entry) - _LANGUAGE_KEYS)
         if unknown:
             raise ConfigError(f"[{section}]: unknown key(s) {', '.join(unknown)}")
         if "corpus" not in entry or "vocab" not in entry:
             raise ConfigError(f"{section}: needs 'corpus' and 'vocab' keys")
-        if any(c in name + entry.get("grouping", "") for c in "\t\r\n"):
-            raise ConfigError(
-                f"{section!r}: a name or grouping cannot hold a tab or line break, as TSV has no quoting"
-            )
-        languages.append(
-            LanguageSpec(
-                name=name,
-                corpus=entry["corpus"],
-                vocab=entry["vocab"],
-                grouping=entry.get("grouping", ""),
-            )
-        )
+        languages.append(LanguageSpec(section[len("language:") :], **entry))
 
     config = RunConfig(languages, **{key: _read_run_key(key, text) for key, text in run.items()})
     config.validate()
@@ -278,6 +275,7 @@ class ComparisonReport(NamedTuple):
             v = row.values.get(self.sort_key)
             return (row.status != "ok", v if v is not None else math.inf)
 
+        _read_run_key("sort_by", self.sort_key)
         return sorted(self.rows, key=key)
 
     @property
@@ -334,7 +332,8 @@ def run(config: RunConfig) -> ComparisonReport:
 def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -> List[str]:
     """Render a report as text lines, each without its newline: TSV, or CSV
     quoted by RFC 4180, with 4 decimal places, or indented JSON at full
-    precision. Percent mode scales the ratio-valued columns by 100."""
+    precision. Percent mode scales the ratio-valued columns by 100. A
+    `format` or sort key that `[run]` would reject is a `ConfigError`."""
 
     def scaled(row: ReportRow) -> Dict[str, Optional[float]]:
         out = {}
@@ -345,6 +344,7 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
             out[col] = v
         return out
 
+    _read_run_key("format", format)
     rows = report.sorted_rows()
     if format == "json":
         import json
@@ -361,8 +361,6 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
         ]
         # JSON escapes newlines inside strings, so "\n" splits only its layout
         return json.dumps(payload, ensure_ascii=False, indent=2).split("\n")
-    if format not in ("tsv", "csv"):
-        raise ConfigError(f"unknown output format {format!r}")
     table = [["language", "grouping", "status", *_NUMERIC_COLUMNS]]
     for row in rows:
         cells = [row.language, row.grouping, row.status]
@@ -377,8 +375,8 @@ def emit(report: ComparisonReport, format: str = "tsv", percent: bool = False) -
                 cells.append(f"{v:.4f}")
         table.append(cells)
     if format == "tsv":
-        # TSV cannot quote: `load_config` rejects a tab or line break in a
-        # language name or grouping
+        # TSV cannot quote: `RunConfig.validate` rejects a tab or line break
+        # in a language name or grouping
         return list(map("\t".join, table))
     import csv
     import io

@@ -459,7 +459,7 @@ def test_run_rejects_bad_run_key(capsys, tmp_path, lang, setting):
     [
         pytest.param("[langauge:B]\n", "[langauge:B]", id="misspelt-section"),
         pytest.param("[language]\n", "[language]", id="section-without-name"),
-        pytest.param("[language:]\n", "[language:]", id="empty-name"),
+        pytest.param("[language:]\n", "'language:'", id="empty-name"),
         pytest.param("[language:B]\ngruoping = X\n", "gruoping", id="misspelt-language-key"),
         pytest.param("[DEFAULT]\n", "[DEFAULT]", id="default-section"),
     ],

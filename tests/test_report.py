@@ -584,14 +584,23 @@ def test_run_csv_and_tsv_rows_parse_back_to_their_cells(tmp_path):
         ("language:Alpha\tBeta", "G"),
         ("language:Alpha", "Fusional\tagglutinative"),
         ("language:Alpha", "a\n  b"),  # a continuation line
+        ("language:", "G"),
     ],
 )
 def test_load_config_rejects_tab_or_line_break_in_name_or_grouping(tmp_path, section, grouping):
-    # TSV has no quoting, so such a cell would shift every column after it
+    # TSV has no quoting, so such a cell would shift every column after it;
+    # each case is rejected in a file and in a config built in Python alike
     ca, va = write_language(tmp_path, "la", CORPUS_A, VOCAB_A)
+    named = re.escape(repr(section))
     path = write_config(tmp_path, f"[{section}]\ncorpus = {ca}\nvocab = {va}\ngrouping = {grouping}\n")
-    with pytest.raises(ConfigError, match=re.escape(repr(section))):
+    with pytest.raises(ConfigError, match=named):
         load_config(path)
+    name = section[len("language:") :]
+    config = RunConfig([LanguageSpec(name, str(ca), str(va), grouping)])
+    with pytest.raises(ConfigError, match=named):
+        config.validate()
+    with pytest.raises(ConfigError, match=named):
+        emit(run(config))  # `run` raises, so `emit` never writes a row
 
 
 def test_emit_json_round_trip():
@@ -604,5 +613,14 @@ def test_emit_json_round_trip():
 
 
 def test_emit_unknown_format():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="format: expected one of tsv, csv, json, got 'xml'"):
         emit(fixed_report(), "xml", False)
+
+
+def test_sorted_rows_unknown_sort_key():
+    # a key that `[run]` rejects must not leave the rows in input order
+    report = fixed_report()._replace(sort_key="ETA")
+    with pytest.raises(ConfigError, match="sort_by: expected one of av, eta,"):
+        report.sorted_rows()
+    with pytest.raises(ConfigError, match="sort_by"):
+        emit(report, "tsv", False)

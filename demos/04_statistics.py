@@ -19,7 +19,6 @@ between two group means shrank after a treatment.
 from morphlens.stats import (
     GREATER,
     LESS,
-    GapTestInput,
     Sample,
     correlation,
     descriptive,
@@ -64,20 +63,13 @@ print("\nY=X^2 linear fit: adj R^2=%.3f, slope t=%.1f, p=%.2g"
 
 # 4. did the gap between two systems close? ----------------------------------
 result = gap_reduction_test(
-    GapTestInput(
-        group1_before=Sample.of([104.0, 101.0, 99.0, 103.0]),
-        group2_before=Sample.of([90.0, 92.0, 88.0, 91.0]),
-        group1_after=Sample.of([95.0, 93.0, 96.0, 94.0]),
-        group2_after=Sample.of([91.0, 90.0, 92.0, 89.0]),
-    ),
+    group1_before=Sample.of([104.0, 101.0, 99.0, 103.0]),
+    group2_before=Sample.of([90.0, 92.0, 88.0, 91.0]),
+    group1_after=Sample.of([95.0, 93.0, 96.0, 94.0]),
+    group2_after=Sample.of([91.0, 90.0, 92.0, 89.0]),
     alpha=0.05,
 )
 print(
     "\ngap before=%.1f after=%.1f, one-sided p=%.4f, reject=%s"
-    % (
-        result.delta_before,
-        result.delta_after,
-        result.test.p_value,
-        result.test.reject,
-    )
+    % (result.delta_before, result.delta_after, result.p_value, result.reject)
 )

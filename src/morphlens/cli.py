@@ -165,10 +165,7 @@ def cmd_stats(args) -> List[str]:
     if args.test == "welch":
         payload = asdict(stats.welch_t_test(*samples, args.alternative, alpha))
     elif args.test == "gap":
-        payload = asdict(stats.gap_reduction_test(stats.GapTestInput(*samples), alpha))
-        test = payload.pop("test")
-        del test["alternative"]  # always "greater"
-        payload = {**test, **payload}
+        payload = asdict(stats.gap_reduction_test(*samples, alpha))
     elif args.test == "holm":
         decisions = stats.holm_bonferroni(samples[0].values, alpha)
         payload = {"alpha": alpha, "decisions": [asdict(d) for d in decisions]}

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple, Union
+from itertools import accumulate
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .corpus import InputError, read_text
-from .tokenizer import Vocabulary, strip_marker
+from .tokenizer import DEFAULT_UNK, Vocabulary, strip_marker
 
 Segmenter = Callable[[str], Sequence[str]]
 
@@ -33,12 +34,14 @@ class SegmentationRef:
 
     def boundaries(self) -> FrozenSet[int]:
         """Cumulative morph-end offsets, excluding 0 and len(word)."""
-        out: Set[int] = set()
-        pos = 0
-        for morph in self.morphs[:-1]:
-            pos += len(morph)
-            out.add(pos)
-        return frozenset(out)
+        return _interior_offsets(map(len, self.morphs))
+
+
+def _interior_offsets(lengths: Iterable[int]) -> FrozenSet[int]:
+    """The end offsets of consecutive parts of these lengths that fall inside
+    the word, 0 < offset < total: an empty part never adds an edge."""
+    ends = list(accumulate(lengths))
+    return frozenset(end for end in ends if 0 < end < ends[-1])
 
 
 @dataclass
@@ -90,20 +93,19 @@ def load_refs(path: Union[str, os.PathLike]) -> RefLoadResult:
 
 
 def predicted_boundaries(tokens: Sequence[str]) -> FrozenSet[int]:
-    """Cumulative token-end offsets (markers stripped), word edges excluded."""
-    out: Set[int] = set()
-    pos = 0
-    stripped = [strip_marker(t) for t in tokens]
-    total = sum(len(t) for t in stripped)
-    for tok in stripped[:-1]:
-        pos += len(tok)
-        if 0 < pos < total:
-            out.add(pos)
-    return frozenset(out)
+    """Cumulative token-end offsets (markers stripped), word edges excluded;
+    an `<unk>` token stands for the one character it covers."""
+    return _interior_offsets(1 if t == DEFAULT_UNK else len(strip_marker(t)) for t in tokens)
 
 
-def _word_counts(pred: FrozenSet[int], ref: FrozenSet[int]) -> AlignmentResult:
-    return AlignmentResult(tp=len(pred & ref), pred_total=len(pred), ref_total=len(ref))
+def _tally(pairs: Iterable[Tuple[FrozenSet[int], FrozenSet[int]]]) -> AlignmentResult:
+    """Boundary counts summed over (predicted, reference) pairs of sets."""
+    tp = pred_total = ref_total = 0
+    for pred, ref in pairs:
+        tp += len(pred & ref)
+        pred_total += len(pred)
+        ref_total += len(ref)
+    return AlignmentResult(tp=tp, pred_total=pred_total, ref_total=ref_total)
 
 
 def eval_full(segmenter: Segmenter, refs: Sequence[SegmentationRef]) -> AlignmentResult:
@@ -117,15 +119,12 @@ def eval_full(segmenter: Segmenter, refs: Sequence[SegmentationRef]) -> Alignmen
     by_word: Dict[str, List[SegmentationRef]] = {}
     for ref in refs:
         by_word.setdefault(ref.word, []).append(ref)
-    tp = pred_total = ref_total = 0
+    pairs = []
     for word, candidates in by_word.items():
         pred = predicted_boundaries(segmenter(word))
-        best = max((_word_counts(pred, c.boundaries()) for c in candidates),
-                   key=lambda r: r.f1)
-        tp += best.tp
-        pred_total += best.pred_total
-        ref_total += best.ref_total
-    return AlignmentResult(tp=tp, pred_total=pred_total, ref_total=ref_total)
+        best = max((c.boundaries() for c in candidates), key=lambda ref: _tally([(pred, ref)]).f1)
+        pairs.append((pred, best))
+    return _tally(pairs)
 
 
 @dataclass
@@ -165,16 +164,15 @@ def morphscore(
     mode: str = EXCLUDE_VOCAB,
 ) -> MorphScoreResult:
     """Stem-suffix boundary evaluation in the two vocabulary modes: in-vocab
-    words are either left untested (exclude_vocab) or always counted as
-    recalled (credit_vocab). Each reference must carry exactly one boundary.
-    Precision and F1 are scored against the same single-boundary references.
+    words are either left untested (exclude_vocab) or scored as if predicted
+    exactly (credit_vocab). Each reference must carry exactly one boundary;
+    precision, recall and F1 are micro-averaged over the words tested.
     """
     if mode not in (EXCLUDE_VOCAB, CREDIT_VOCAB):
         raise MorphEvalError(f"unknown mode {mode!r}")
     if not refs:
         raise MorphEvalError("reference list is empty")
-    tp = pred_total = ref_total = 0
-    evaluated = skipped = 0
+    pairs = []
     for ref in refs:
         bounds = ref.boundaries()
         if len(bounds) != 1:
@@ -184,28 +182,17 @@ def morphscore(
         in_vocab = ref.word in vocab or (
             vocab.boundary_marker and (vocab.boundary_marker + ref.word) in vocab
         )
-        if in_vocab:
-            if mode == EXCLUDE_VOCAB:
-                skipped += 1
-                continue
-            evaluated += 1
-            tp += 1
-            pred_total += 1
-            ref_total += 1
+        if in_vocab and mode == EXCLUDE_VOCAB:
             continue
-        evaluated += 1
-        pred = predicted_boundaries(segmenter(ref.word))
-        counts = _word_counts(pred, bounds)
-        tp += counts.tp
-        pred_total += counts.pred_total
-        ref_total += counts.ref_total
-    totals = AlignmentResult(tp=tp, pred_total=pred_total, ref_total=ref_total)
+        pred = bounds if in_vocab else predicted_boundaries(segmenter(ref.word))
+        pairs.append((pred, bounds))
+    totals = _tally(pairs)
     return MorphScoreResult(
         recall=totals.recall,
         precision=totals.precision,
         f1=totals.f1,
-        n_evaluated=evaluated,
-        n_skipped=skipped,
+        n_evaluated=len(pairs),
+        n_skipped=len(refs) - len(pairs),
     )
 
 

@@ -75,8 +75,9 @@ class RunConfig(NamedTuple):
     def validate(self) -> None:
         """Raise a `ConfigError` for a config, read or built in Python alike,
         that cannot run. A setting must be what its reader gives back from its
-        text, so `window="8"` and `pretokenized="no"` fail; each language needs
-        a name, no tab or line break in its name or grouping, and its files."""
+        text, so `window="8"` and `pretokenized="no"` fail. A language must be
+        a `LanguageSpec` of a nonempty `str` name and a `str` grouping, neither
+        holding a tab or line break, and of `str` or path-like files that exist."""
         for key in _RUN_READERS:
             value = getattr(self, key)
             if _read_run_key(key, str(value)) != value:
@@ -84,7 +85,12 @@ class RunConfig(NamedTuple):
         if not self.languages:
             raise ConfigError("no languages configured")
         for lang in self.languages:
+            if not isinstance(lang, LanguageSpec):
+                raise ConfigError(f"language {lang!r} is a {type(lang).__name__}, not a LanguageSpec")
             section = f"language:{lang.name}"
+            for key, value in lang._asdict().items():
+                if not isinstance(value, (str, os.PathLike) if key in ("corpus", "vocab") else str):
+                    raise ConfigError(f"{section!r}: {key} {value!r} is a {type(value).__name__}")
             if not lang.name:
                 raise ConfigError(f"{section!r}: a language needs a name")
             if any(c in lang.name + lang.grouping for c in "\t\r\n"):

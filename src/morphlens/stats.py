@@ -286,36 +286,29 @@ def welch_t_test(
 
 
 @dataclass
-class GapTestInput:
-    group1_before: Sample
-    group2_before: Sample
-    group1_after: Sample
-    group2_after: Sample
-
-
-@dataclass
 class GapTestResult:
-    test: TestResult
+    statistic: float
+    df: float
+    p_value: float
+    alpha: float
+    reject: bool
     delta_before: float
     delta_after: float
     s_y: float
     delta_alpha: float
 
 
-def gap_reduction_test(inp: GapTestInput, alpha: float) -> GapTestResult:
+def gap_reduction_test(
+    group1_before: Sample, group2_before: Sample, group1_after: Sample, group2_after: Sample, alpha: float
+) -> GapTestResult:
     """One-sided test that a between-group mean gap shrank after a treatment.
 
     Y = delta_before - delta_after is compared against its standard error
     S_Y (sum of the four mean-variances), with Welch-Satterthwaite df over
-    the four variance terms. Rejects when Y / S_Y > t_{1-alpha, df},
-    equivalently when delta_after < delta_alpha.
+    the four variance terms; the alternative is always `greater`. Rejects
+    when Y / S_Y > t_{1-alpha, df}, equivalently when delta_after < delta_alpha.
     """
-    samples = (
-        inp.group1_before,
-        inp.group2_before,
-        inp.group1_after,
-        inp.group2_after,
-    )
+    samples = (group1_before, group2_before, group1_after, group2_after)
     for s in samples:
         if s.n < 2:
             raise StatsError("gap test needs at least 2 observations per sample")
@@ -324,20 +317,13 @@ def gap_reduction_test(inp: GapTestInput, alpha: float) -> GapTestResult:
     if s_y2 == 0:
         raise StatsError("all four samples have zero variance")
     df = s_y2 * s_y2 / _sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples))
-    delta_before = inp.group1_before.mean() - inp.group2_before.mean()
-    delta_after = inp.group1_after.mean() - inp.group2_after.mean()
+    delta_before = group1_before.mean() - group2_before.mean()
+    delta_after = group1_after.mean() - group2_after.mean()
     s_y = math.sqrt(s_y2)
     statistic = (delta_before - delta_after) / s_y
     p = t_sf(statistic, df)
     delta_alpha = delta_before - t_quantile(1.0 - alpha, df) * s_y
-    test = TestResult(statistic, df, p, GREATER, alpha, p <= alpha)
-    return GapTestResult(
-        test=test,
-        delta_before=delta_before,
-        delta_after=delta_after,
-        s_y=s_y,
-        delta_alpha=delta_alpha,
-    )
+    return GapTestResult(statistic, df, p, alpha, p <= alpha, delta_before, delta_after, s_y, delta_alpha)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,9 @@ from morphlens.morph_eval import (
     morphscore,
     predicted_boundaries,
 )
-from morphlens.tokenizer import Vocabulary
+from morphlens.tokenizer import Vocabulary, load_vocab, segment_greedy, segment_viterbi
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixed_segmenter(table):
@@ -41,6 +44,11 @@ def test_boundaries_arabalari():
 
 def test_boundaries_single_morph_empty():
     assert ref("word", "word").boundaries() == frozenset()
+
+
+def test_boundaries_empty_morph_adds_no_edge():
+    # an empty first morph ends at 0, which is a word edge, not a boundary
+    assert SegmentationRef("ab", ("", "ab")).boundaries() == frozenset()
 
 
 def test_load_refs(tmp_path):
@@ -81,6 +89,20 @@ def test_load_refs_invalid_utf8_reports_offset(tmp_path):
 
 def test_predicted_boundaries_strip_marker():
     assert predicted_boundaries(["▁gather", "ed"]) == frozenset({6})
+
+
+def test_predicted_boundaries_unk_is_one_character():
+    assert predicted_boundaries(["▁a", "<unk>", "bc"]) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("segment", [segment_greedy, segment_viterbi])
+def test_predicted_boundaries_of_golden_refs_fall_inside_the_word(segment):
+    # `temosideqz` and `sanunoriqz` end in characters alpha.tsv does not
+    # cover, so their last pieces are `<unk>`
+    vocab = load_vocab(GOLDEN / "alpha.tsv")
+    for r in load_refs(GOLDEN / "refs.tsv").refs:
+        bounds = predicted_boundaries(segment(r.word, vocab))
+        assert all(1 <= b <= len(r.word) - 1 for b in bounds), (r.word, sorted(bounds))
 
 
 def test_predicted_boundaries_edges_excluded():

@@ -137,6 +137,30 @@ def test_validate_rejects_a_setting_of_another_type(tmp_path, setting):
         config.validate()
 
 
+@pytest.mark.parametrize(
+    "language, named",
+    [
+        ({"grouping": None}, "'language:X': grouping None is a NoneType"),
+        ({"corpus": None}, "'language:X': corpus None is a NoneType"),
+        ({"name": 3}, "'language:3': name 3 is a int"),
+        ("x", "language 'x' is a str, not a LanguageSpec"),
+    ],
+    ids=["grouping-none", "corpus-none", "name-int", "not-a-spec"],
+)
+def test_validate_rejects_a_language_field_of_another_type(tmp_path, language, named):
+    # a language built in code is a `LanguageSpec` of strings, with paths
+    # for its files; anything else is a config error that names it
+    ca, va = write_language(tmp_path, "la", CORPUS_A, VOCAB_A)
+    RunConfig([LanguageSpec("X", ca, va)]).validate()
+    if isinstance(language, dict):
+        language = LanguageSpec("X", str(ca), str(va))._replace(**language)
+    config = RunConfig([language])
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        config.validate()
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        run(config)
+
+
 def test_config_no_languages():
     with pytest.raises(ConfigError, match="no languages"):
         RunConfig(languages=[]).validate()

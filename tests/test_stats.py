@@ -7,7 +7,6 @@ from morphlens.stats import (
     GREATER,
     LESS,
     TWO_SIDED,
-    GapTestInput,
     Sample,
     StatsError,
     betainc_reg,
@@ -224,18 +223,16 @@ def test_welch_zero_variance_errors():
 
 
 def gap_input(g1b, g2b, g1a, g2a):
-    return GapTestInput(
-        Sample.of(g1b), Sample.of(g2b), Sample.of(g1a), Sample.of(g2a)
-    )
+    return Sample.of(g1b), Sample.of(g2b), Sample.of(g1a), Sample.of(g2a)
 
 
 def test_gap_null_treatment():
     g1 = [10.0, 11.0, 12.5, 9.5]
     g2 = [7.0, 8.0, 6.5, 7.5]
-    r = gap_reduction_test(gap_input(g1, g2, g1, g2), 0.05)
-    assert r.test.statistic == 0.0
-    assert r.test.p_value == pytest.approx(0.5)
-    assert not r.test.reject
+    r = gap_reduction_test(*gap_input(g1, g2, g1, g2), 0.05)
+    assert r.statistic == 0.0
+    assert r.p_value == pytest.approx(0.5)
+    assert not r.reject
 
 
 def test_gap_invariant_under_common_after_shift():
@@ -243,11 +240,11 @@ def test_gap_invariant_under_common_after_shift():
     g2b = [7.0, 8.0, 6.5, 7.5]
     g1a = [9.0, 10.5, 11.0, 9.0]
     g2a = [7.2, 7.9, 6.8, 7.4]
-    base = gap_reduction_test(gap_input(g1b, g2b, g1a, g2a), 0.05)
+    base = gap_reduction_test(*gap_input(g1b, g2b, g1a, g2a), 0.05)
     shifted = gap_reduction_test(
-        gap_input(g1b, g2b, [v - 3.0 for v in g1a], [v - 3.0 for v in g2a]), 0.05
+        *gap_input(g1b, g2b, [v - 3.0 for v in g1a], [v - 3.0 for v in g2a]), 0.05
     )
-    assert shifted.test.statistic == pytest.approx(base.test.statistic, abs=1e-12)
+    assert shifted.statistic == pytest.approx(base.statistic, abs=1e-12)
     assert shifted.delta_after == pytest.approx(base.delta_after, abs=1e-12)
 
 
@@ -256,11 +253,11 @@ def test_gap_invariant_under_global_shift():
     g2b = [7.0, 8.0, 6.5, 7.5]
     g1a = [9.0, 10.5, 11.0, 9.0]
     g2a = [7.2, 7.9, 6.8, 7.4]
-    base = gap_reduction_test(gap_input(g1b, g2b, g1a, g2a), 0.05)
+    base = gap_reduction_test(*gap_input(g1b, g2b, g1a, g2a), 0.05)
     shifted = gap_reduction_test(
-        gap_input(*[[v + 100.0 for v in g] for g in (g1b, g2b, g1a, g2a)]), 0.05
+        *gap_input(*[[v + 100.0 for v in g] for g in (g1b, g2b, g1a, g2a)]), 0.05
     )
-    assert shifted.test.statistic == pytest.approx(base.test.statistic, abs=1e-9)
+    assert shifted.statistic == pytest.approx(base.statistic, abs=1e-9)
 
 
 def test_gap_clear_reduction_significant():
@@ -269,11 +266,11 @@ def test_gap_clear_reduction_significant():
     g2b = [0.0 - tiny, 0.0 + tiny, 0.0]
     g1a = [5.0 - tiny, 5.0 + tiny, 5.0]
     g2a = [5.0 - tiny, 5.0 + tiny, 5.0]
-    r = gap_reduction_test(gap_input(g1b, g2b, g1a, g2a), 0.05)
+    r = gap_reduction_test(*gap_input(g1b, g2b, g1a, g2a), 0.05)
     assert r.delta_before == pytest.approx(10.0)
     assert r.delta_after == pytest.approx(0.0)
-    assert r.test.p_value < 0.001
-    assert r.test.reject
+    assert r.p_value < 0.001
+    assert r.reject
     # the decision is equivalent to delta_after < delta_alpha
     assert r.delta_after < r.delta_alpha
 
@@ -283,13 +280,13 @@ def test_gap_statistic_matches_direct_formula():
     g2b = [7.0, 8.0, 6.5, 7.5]
     g1a = [9.0, 10.5, 11.0, 9.0]
     g2a = [7.2, 7.9, 6.8, 7.4]
-    r = gap_reduction_test(gap_input(g1b, g2b, g1a, g2a), 0.05)
+    r = gap_reduction_test(*gap_input(g1b, g2b, g1a, g2a), 0.05)
     samples = [Sample.of(g) for g in (g1b, g2b, g1a, g2a)]
     s_y2 = sum(s.variance() / s.n for s in samples)
     delta_b = samples[0].mean() - samples[1].mean()
     delta_a = samples[2].mean() - samples[3].mean()
     assert r.s_y == pytest.approx(math.sqrt(s_y2), abs=1e-14)
-    assert r.test.statistic == pytest.approx(
+    assert r.statistic == pytest.approx(
         (delta_b - delta_a) / math.sqrt(s_y2), abs=1e-14
     )
 
@@ -297,7 +294,7 @@ def test_gap_statistic_matches_direct_formula():
 def test_gap_degenerate_variances_error():
     with pytest.raises(StatsError):
         gap_reduction_test(
-            gap_input([1, 1], [0, 0], [1, 1], [0, 0]), 0.05
+            *gap_input([1, 1], [0, 0], [1, 1], [0, 0]), 0.05
         )
 
 

@@ -142,12 +142,20 @@ def cmd_align(args) -> List[str]:
     ]
 
 
-_STATS_ARITY = {
-    "welch": (2, "welch needs exactly 2 input files"),
-    "gap": (4, "gap needs 4 input files: g1_before g2_before g1_after g2_after"),
-    "holm": (1, "holm needs 1 input file of p-values"),
-    "dup": (2, "dup needs exactly 2 input files"),
-    "ols": (2, "ols needs exactly 2 input files: x y"),
+# each `stats` test: its file count, the usage message for another count,
+# and its call given the lazily imported module, the samples and the args
+_STATS_TESTS = {
+    "welch": (2, "welch needs exactly 2 input files",
+              lambda stats, s, args: stats.welch_t_test(*s, args.alternative, args.alpha)),
+    "gap": (4, "gap needs 4 input files: g1_before g2_before g1_after g2_after",
+            lambda stats, s, args: stats.gap_reduction_test(*s, args.alpha)),
+    "holm": (1, "holm needs 1 input file of p-values",
+             lambda stats, s, args: {"alpha": args.alpha,
+                                     "decisions": stats.holm_bonferroni(s[0].values, args.alpha)}),
+    "dup": (2, "dup needs exactly 2 input files",
+            lambda stats, s, args: stats.duplication_effect(*s, args.k, args.alternative)),
+    "ols": (2, "ols needs exactly 2 input files: x y",
+            lambda stats, s, args: stats.ols_simple(*s)),
 }
 
 
@@ -157,23 +165,11 @@ def cmd_stats(args) -> List[str]:
 
     from . import stats
 
-    n_files, message = _STATS_ARITY[args.test]
+    n_files, message, test = _STATS_TESTS[args.test]
     if len(args.inputs) != n_files:
         raise UsageError(message)
-    samples = [stats.read_column(p) for p in args.inputs]
-    alpha = args.alpha
-    if args.test == "welch":
-        payload = asdict(stats.welch_t_test(*samples, args.alternative, alpha))
-    elif args.test == "gap":
-        payload = asdict(stats.gap_reduction_test(*samples, alpha))
-    elif args.test == "holm":
-        decisions = stats.holm_bonferroni(samples[0].values, alpha)
-        payload = {"alpha": alpha, "decisions": [asdict(d) for d in decisions]}
-    elif args.test == "dup":
-        payload = asdict(stats.duplication_effect(*samples, args.k, args.alternative))
-    else:
-        payload = asdict(stats.ols_simple(*samples))
-    return json.dumps(payload, indent=2).split("\n")
+    result = test(stats, [stats.read_column(p) for p in args.inputs], args)
+    return json.dumps(result, indent=2, default=asdict).split("\n")
 
 
 def cmd_run(args) -> Iterator[str]:
@@ -251,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("stats", parents=[output], help="hypothesis tests and regression")
-    p.add_argument("test", choices=list(_STATS_ARITY))
+    p.add_argument("test", choices=list(_STATS_TESTS))
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--alpha", type=_flag(report_mod.read_probability), default=0.05)
     p.add_argument("--alternative", choices=_ALTERNATIVES, default="two-sided")

@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .corpus import InputError, read_text
-from .tokenizer import DEFAULT_UNK, Vocabulary, strip_marker
+from .tokenizer import DEFAULT_UNK, Vocabulary
 
 Segmenter = Callable[[str], Sequence[str]]
 
@@ -92,10 +92,12 @@ def load_refs(path: Union[str, os.PathLike]) -> RefLoadResult:
     return RefLoadResult(refs=refs, rejected=rejected)
 
 
-def predicted_boundaries(tokens: Sequence[str]) -> FrozenSet[int]:
-    """Cumulative token-end offsets (markers stripped), word edges excluded;
-    an `<unk>` token stands for the one character it covers."""
-    return _interior_offsets(1 if t == DEFAULT_UNK else len(strip_marker(t)) for t in tokens)
+def predicted_boundaries(word: str, tokens: Sequence[str]) -> FrozenSet[int]:
+    """Cumulative token-end offsets in `word`, word edges excluded: an `<unk>`
+    covers one character, and the marker the segmenter prepended none."""
+    lengths = [1 if t == DEFAULT_UNK else len(t) for t in tokens]
+    lengths[0] -= sum(lengths) - len(word)  # the prepended marker, if any
+    return _interior_offsets(lengths)
 
 
 def _tally(pairs: Iterable[Tuple[FrozenSet[int], FrozenSet[int]]]) -> AlignmentResult:
@@ -121,7 +123,7 @@ def eval_full(segmenter: Segmenter, refs: Sequence[SegmentationRef]) -> Alignmen
         by_word.setdefault(ref.word, []).append(ref)
     pairs = []
     for word, candidates in by_word.items():
-        pred = predicted_boundaries(segmenter(word))
+        pred = predicted_boundaries(word, segmenter(word))
         best = max((c.boundaries() for c in candidates), key=lambda ref: _tally([(pred, ref)]).f1)
         pairs.append((pred, best))
     return _tally(pairs)
@@ -184,7 +186,7 @@ def morphscore(
         )
         if in_vocab and mode == EXCLUDE_VOCAB:
             continue
-        pred = bounds if in_vocab else predicted_boundaries(segmenter(ref.word))
+        pred = bounds if in_vocab else predicted_boundaries(ref.word, segmenter(ref.word))
         pairs.append((pred, bounds))
     totals = _tally(pairs)
     return MorphScoreResult(

@@ -1,7 +1,8 @@
 """Statistical toolkit: descriptive estimators, Student-t machinery on a
 self-contained regularized incomplete beta, Welch tests, the one-sided
 gap-reduction test, Holm-Bonferroni correction, measurement-duplication
-analysis, and simple linear regression with a slope t-test.
+analysis, and simple linear regression with a slope t-test. The Welch and
+gap tests share one Welch core, and `_p_value` alone turns a t into a p.
 
 The incomplete beta function uses a continued-fraction evaluation (modified
 Lentz) with relative tolerance 1e-12, so p-values are reproducible without
@@ -126,16 +127,22 @@ def trimmed(sample: Sample, proportion: float = 0.1) -> Sample:
     return Sample.of(values)
 
 
-def correlation(x: Sample, y: Sample) -> float:
-    """Pearson correlation S_xy / sqrt(S_xx S_yy)."""
+def _centered_sums(x: Sample, y: Sample, min_n: int, what: str) -> Tuple[float, ...]:
+    """The means of paired samples, then their centered sums S_xx, S_xy, S_yy."""
     if x.n != y.n:
         raise StatsError("samples must have equal length")
-    if x.n < 2:
-        raise StatsError("correlation needs at least 2 observations")
+    if x.n < min_n:
+        raise StatsError(f"{what} needs at least {min_n} observations")
     mx, my = x.mean(), y.mean()
-    sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
     sxx = _sum((a - mx) ** 2 for a in x.values)
+    sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
     syy = _sum((b - my) ** 2 for b in y.values)
+    return mx, my, sxx, sxy, syy
+
+
+def correlation(x: Sample, y: Sample) -> float:
+    """Pearson correlation S_xy / sqrt(S_xx S_yy)."""
+    _, _, sxx, sxy, syy = _centered_sums(x, y, 2, "correlation")
     if sxx == 0 or syy == 0:
         raise StatsError("correlation undefined for zero-variance sample")
     return sxy / math.sqrt(sxx * syy)
@@ -265,20 +272,24 @@ class TestResult:
     reject: Optional[bool] = None
 
 
+def _welch_variance(samples: Sequence[Sample], test: str, all_zero: str) -> Tuple[float, float]:
+    """The sum of the samples' mean variances (the squared standard error of
+    a difference of their means) and its Welch-Satterthwaite df."""
+    if any(s.n < 2 for s in samples):
+        raise StatsError(f"{test} test needs at least 2 observations per sample")
+    mean_vars = [s.variance() / s.n for s in samples]
+    total = _sum(mean_vars)
+    if total == 0:
+        raise StatsError(all_zero)
+    df = total * total / _sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples))
+    return total, df
+
+
 def welch_t_test(
     s1: Sample, s2: Sample, alternative: str, alpha: Optional[float] = None
 ) -> TestResult:
     """Unequal-variance two-sample t-test with Welch-Satterthwaite df."""
-    if alternative not in _ALTERNATIVES:
-        raise StatsError(f"unknown alternative {alternative!r}")
-    if s1.n < 2 or s2.n < 2:
-        raise StatsError("welch test needs at least 2 observations per sample")
-    v1 = s1.variance() / s1.n
-    v2 = s2.variance() / s2.n
-    su2 = v1 + v2
-    if su2 == 0:
-        raise StatsError("both samples have zero variance")
-    df = su2 * su2 / (v1 * v1 / (s1.n - 1) + v2 * v2 / (s2.n - 1))
+    su2, df = _welch_variance((s1, s2), "welch", "both samples have zero variance")
     statistic = (s1.mean() - s2.mean()) / math.sqrt(su2)
     p = _p_value(statistic, df, alternative)
     reject = None if alpha is None else p <= alpha
@@ -309,19 +320,12 @@ def gap_reduction_test(
     when Y / S_Y > t_{1-alpha, df}, equivalently when delta_after < delta_alpha.
     """
     samples = (group1_before, group2_before, group1_after, group2_after)
-    for s in samples:
-        if s.n < 2:
-            raise StatsError("gap test needs at least 2 observations per sample")
-    mean_vars = [s.variance() / s.n for s in samples]
-    s_y2 = _sum(mean_vars)
-    if s_y2 == 0:
-        raise StatsError("all four samples have zero variance")
-    df = s_y2 * s_y2 / _sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples))
+    s_y2, df = _welch_variance(samples, "gap", "all four samples have zero variance")
     delta_before = group1_before.mean() - group2_before.mean()
     delta_after = group1_after.mean() - group2_after.mean()
     s_y = math.sqrt(s_y2)
     statistic = (delta_before - delta_after) / s_y
-    p = t_sf(statistic, df)
+    p = _p_value(statistic, df, GREATER)
     delta_alpha = delta_before - t_quantile(1.0 - alpha, df) * s_y
     return GapTestResult(statistic, df, p, alpha, p <= alpha, delta_before, delta_after, s_y, delta_alpha)
 
@@ -381,7 +385,7 @@ class DuplicationEffect:
 
 
 def duplication_effect(
-    s1: Sample, s2: Sample, k: int, alternative: str = TWO_SIDED
+    s1: Sample, s2: Sample, k: int, alternative: str
 ) -> DuplicationEffect:
     """Welch test before and after including every measurement k times."""
     plain = welch_t_test(s1, s2, alternative)
@@ -450,19 +454,12 @@ class RegressionResult:
 def ols_simple(x: Sample, y: Sample) -> RegressionResult:
     """Least-squares y = beta0 + beta1 * x with a two-sided slope t-test
     (df = n - 2) and plain/adjusted R^2."""
-    if x.n != y.n:
-        raise StatsError("samples must have equal length")
-    n = x.n
-    if n < 3:
-        raise StatsError("regression needs at least 3 observations")
-    mx, my = x.mean(), y.mean()
-    sxx = _sum((a - mx) ** 2 for a in x.values)
+    mx, my, sxx, sxy, syy = _centered_sums(x, y, 3, "regression")
     if sxx == 0:
         raise StatsError("predictor has zero variance")
-    sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
-    syy = _sum((b - my) ** 2 for b in y.values)
     if syy == 0:
         raise StatsError("response has zero variance")
+    n = x.n
     beta1 = sxy / sxx
     beta0 = my - beta1 * mx
     rss = syy - beta1 * sxy
@@ -473,7 +470,7 @@ def ols_simple(x: Sample, y: Sample) -> RegressionResult:
     if se1 == 0:
         raise StatsError("exact fit: the slope's standard error is zero")
     t1 = beta1 / se1
-    p1 = 2.0 * t_sf(abs(t1), n - 2)
+    p1 = _p_value(t1, n - 2, TWO_SIDED)
     r2 = 1.0 - rss / syy
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return RegressionResult(beta0, beta1, se1, t1, p1, r2, adj_r2, n)

@@ -106,7 +106,7 @@ def test_03_duplication_effects():
     for _ in range(1000):
         s1 = Sample.of([rng.gauss(0, 1) for _ in range(rng.randint(2, 12))])
         s2 = Sample.of([rng.gauss(0.3, 1.1) for _ in range(rng.randint(2, 12))])
-        eff = duplication_effect(s1, s2, rng.randint(2, 4))
+        eff = duplication_effect(s1, s2, rng.randint(2, 4), TWO_SIDED)
         if abs(eff.t) > 0:
             assert eff.p_dup <= eff.p + 1e-12
             checked += 1

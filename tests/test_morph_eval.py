@@ -88,11 +88,21 @@ def test_load_refs_invalid_utf8_reports_offset(tmp_path):
 
 
 def test_predicted_boundaries_strip_marker():
-    assert predicted_boundaries(["▁gather", "ed"]) == frozenset({6})
+    assert predicted_boundaries("gathered", ["▁gather", "ed"]) == frozenset({6})
 
 
 def test_predicted_boundaries_unk_is_one_character():
-    assert predicted_boundaries(["▁a", "<unk>", "bc"]) == frozenset({1, 2})
+    assert predicted_boundaries("axbc", ["▁a", "<unk>", "bc"]) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("segment", [segment_greedy, segment_viterbi])
+def test_predicted_boundaries_skip_a_marker_no_piece_covers(segment):
+    # the vocabulary has the marker but no piece that starts `cd`, so the
+    # prepended marker is an `<unk>` of its own, which is not part of the word
+    vocab = Vocabulary({"▁ab": -1.0, "c": -2.0})
+    tokens = segment("cd", vocab)
+    assert tokens == ["<unk>", "c", "<unk>"]
+    assert predicted_boundaries("cd", tokens) == frozenset({1})
 
 
 @pytest.mark.parametrize("segment", [segment_greedy, segment_viterbi])
@@ -101,7 +111,7 @@ def test_predicted_boundaries_of_golden_refs_fall_inside_the_word(segment):
     # cover, so their last pieces are `<unk>`
     vocab = load_vocab(GOLDEN / "alpha.tsv")
     for r in load_refs(GOLDEN / "refs.tsv").refs:
-        bounds = predicted_boundaries(segment(r.word, vocab))
+        bounds = predicted_boundaries(r.word, segment(r.word, vocab))
         assert all(1 <= b <= len(r.word) - 1 for b in bounds), (r.word, sorted(bounds))
 
 
@@ -112,9 +122,9 @@ def test_predicted_boundaries_edges_excluded():
             "".join(rng.choice("ab") for _ in range(rng.randint(1, 4)))
             for _ in range(rng.randint(1, 6))
         ]
-        n = sum(len(t) for t in tokens)
-        bounds = predicted_boundaries(tokens)
-        assert all(0 < b < n for b in bounds)
+        word = "".join(tokens)
+        bounds = predicted_boundaries(word, tokens)
+        assert all(0 < b < len(word) for b in bounds)
 
 
 # --- full alignment, Table 3 values ----------------------------------------
@@ -184,7 +194,7 @@ def test_full_micro_aggregation_oracle():
     result = eval_full(fixed_segmenter(seg_table), refs)
     tp = pred = reft = 0
     for r in refs:
-        p = predicted_boundaries(seg_table[r.word])
+        p = predicted_boundaries(r.word, seg_table[r.word])
         b = r.boundaries()
         tp += len(p & b)
         pred += len(p)

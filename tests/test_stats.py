@@ -357,7 +357,7 @@ def test_duplication_lowers_p():
         n1, n2 = rng.randint(2, 15), rng.randint(2, 15)
         s1 = Sample.of([rng.gauss(0, 1) for _ in range(n1)])
         s2 = Sample.of([rng.gauss(0.3, 1.2) for _ in range(n2)])
-        eff = duplication_effect(s1, s2, k=rng.randint(2, 4))
+        eff = duplication_effect(s1, s2, k=rng.randint(2, 4), alternative=TWO_SIDED)
         if abs(eff.t) > 0:
             assert eff.p_dup <= eff.p + 1e-12
             checked += 1
@@ -366,7 +366,7 @@ def test_duplication_lowers_p():
 
 def test_duplication_ratio_approximations():
     s1, s2 = near_significant_pair(seed=42)
-    eff = duplication_effect(s1, s2, k=3)
+    eff = duplication_effect(s1, s2, k=3, alternative=TWO_SIDED)
     # exact finite-n relation for equal sample sizes:
     # T* = sqrt((kn-1)/(n-1)) * T; for n=25, k=3 that is 1.38% above
     # sqrt(3)*T, so the sqrt(k) rule holds to ~2.4% but no tighter
@@ -469,3 +469,84 @@ def test_ols_validation():
         ols_simple(S(1, 2, 3, 4), S(2, 4, 6, 8))
     with pytest.raises(StatsError, match="exact fit"):
         ols_simple(S(*range(1, 11)), Sample.of([2 * v + 1 for v in range(1, 11)]))
+
+
+# --- exact values ----------------------------------------------------------
+
+# Every field the tests return on small fixed inputs, compared with `==`:
+# the Welch core, the centered sums and the p-value rule that the tests
+# share must keep running the same float operations in the same order.
+PIN_X = S(1.0, 2.5, 2.0, 4.25, 3.0, 5.5)
+PIN_Y = S(0.5, 1.75, 3.0, 2.0, 4.5, 4.0)
+PIN_A = S(2.0, 3.5, 1.0, 4.0, 2.75)
+PIN_B = S(1.25, 0.5, 2.0, 1.0)
+
+
+def test_correlation_exact_values():
+    assert correlation(PIN_X, PIN_Y) == 0.5758942344471936
+    assert correlation(PIN_A, S(1.0, 3.0, 0.5, 3.5, 2.0)) == 0.9857281161802884
+
+
+@pytest.mark.parametrize(
+    "alternative, p_value, reject",
+    [
+        (TWO_SIDED, 0.05438566772362085, False),
+        (LESS, 0.9728071661381896, False),
+        (GREATER, 0.027192833861810425, True),
+    ],
+)
+def test_welch_exact_values(alternative, p_value, reject):
+    r = welch_t_test(PIN_A, PIN_B, alternative, 0.05)
+    assert (r.statistic, r.df, r.p_value, r.alternative, r.alpha, r.reject) == (
+        2.3642395013541178, 6.234821406604694, p_value, alternative, 0.05, reject
+    )
+
+
+def test_gap_exact_values():
+    r = gap_reduction_test(PIN_A, PIN_B, PIN_X, PIN_Y, 0.1)
+    assert (r.statistic, r.df, r.p_value, r.alpha, r.reject) == (
+        0.9580362022901483, 15.90069971541833, 0.17619294767868748, 0.1, False
+    )
+    assert (r.delta_before, r.delta_after, r.s_y, r.delta_alpha) == (
+        1.4625, 0.4166666666666665, 1.0916428114441912, 0.002846106791836389
+    )
+    r = gap_reduction_test(PIN_X, PIN_Y, PIN_A, PIN_B, 0.05)
+    assert (r.statistic, r.p_value, r.delta_alpha) == (
+        -0.9580362022901483, 0.8238070523213126, -1.4899449562565183
+    )
+
+
+def test_ols_exact_values():
+    r = ols_simple(PIN_X, PIN_Y)
+    assert (r.beta0, r.beta1, r.se1, r.t1, r.p1, r.r2, r.adj_r2, r.n) == (
+        1.0009976057462089, 0.5339185953711094, 0.3789683510699477,
+        1.4088738383131154, 0.23165751028555448, 0.3316541692695193,
+        0.1645677115868991, 6,
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: welch_t_test(S(1), S(1, 2), TWO_SIDED), "welch test needs at least 2 observations per sample"),
+        (lambda: welch_t_test(S(1, 1), S(2, 2), TWO_SIDED), "both samples have zero variance"),
+        (lambda: welch_t_test(PIN_A, PIN_B, "both"), "unknown alternative 'both'"),
+        (lambda: duplication_effect(PIN_A, PIN_B, 2, "up"), "unknown alternative 'up'"),
+        (lambda: gap_reduction_test(PIN_A, PIN_B, PIN_X, S(1), 0.05),
+         "gap test needs at least 2 observations per sample"),
+        (lambda: gap_reduction_test(S(1, 1), S(2, 2), S(3, 3), S(4, 4), 0.05),
+         "all four samples have zero variance"),
+        (lambda: correlation(PIN_X, PIN_A), "samples must have equal length"),
+        (lambda: correlation(S(1), S(2)), "correlation needs at least 2 observations"),
+        (lambda: correlation(PIN_X, S(1, 1, 1, 1, 1, 1)), "correlation undefined for zero-variance sample"),
+        (lambda: ols_simple(PIN_X, PIN_A), "samples must have equal length"),
+        (lambda: ols_simple(S(1, 2), S(1, 2)), "regression needs at least 3 observations"),
+        (lambda: ols_simple(S(1, 1, 1), S(1, 2, 3)), "predictor has zero variance"),
+        (lambda: ols_simple(S(1, 2, 3, 4), S(5, 5, 5, 5)), "response has zero variance"),
+        (lambda: ols_simple(S(1, 2, 3, 4), S(2, 4, 6, 8)), "exact fit: the slope's standard error is zero"),
+    ],
+)
+def test_error_messages_exact(call, message):
+    with pytest.raises(StatsError) as raised:
+        call()
+    assert str(raised.value) == message

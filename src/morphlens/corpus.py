@@ -86,7 +86,7 @@ def _read_batches(path: Union[str, os.PathLike]) -> Iterator[List[str]]:
                     good = raw[: raw.rfind(b"\n", 0, e.start) + 1]
                     if good:
                         yield _split_lines(good.decode("utf-8"))
-                    raise CorpusError(f"invalid UTF-8 at byte offset {offset + e.start}") from e
+                    raise CorpusError(f"{path}: invalid UTF-8 at byte offset {offset + e.start}") from e
                 offset += len(raw)
                 del raw  # not held while the batch is in use
                 yield lines

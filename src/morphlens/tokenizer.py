@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from functools import cached_property
 from itertools import chain, islice
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, TypeVar, Union
@@ -53,9 +54,10 @@ class Vocabulary:
     scores are rejected.
 
     Segmentation walks a piece trie built from `pieces` once per instance,
-    at the first segmentation, so `pieces` must not be mutated after that.
-    Returned pieces are the very string objects held in `pieces` (or
-    `unk_piece`).
+    at the first segmentation, and whole-line mode cuts lines by one rule,
+    `_cut`, worked out at its first use, so `pieces` must not be mutated
+    after either. Returned pieces are the very string objects held in
+    `pieces` (or `unk_piece`).
     """
 
     unk_piece = DEFAULT_UNK
@@ -109,16 +111,16 @@ class Vocabulary:
         return root
 
     @cached_property
-    def _cut_separator(self) -> Optional[str]:
+    def _cut(self) -> Callable[[str], List[str]]:
         # The separator is the boundary marker, or U+0020 without one. When
         # no piece holds it after its first character, no piece covers a
         # separator it does not start with, so every separator is a forced
-        # piece boundary and a line may be segmented chunk by chunk. None
-        # when some piece does.
+        # piece boundary and starts a chunk; otherwise a line is one chunk.
         sep = self.boundary_marker or " "
-        if any(piece.find(sep, 1) > 0 for piece in self.pieces):
-            return None
-        return sep
+        whole = any(piece.find(sep, 1) > 0 for piece in self.pieces)
+        s = re.escape(sep)
+        # a pattern's method, unlike a lambda, pickles with the vocabulary
+        return re.compile("(?s).+" if whole else f"{s}[^{s}]*|[^{s}]+").findall
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -172,8 +174,6 @@ def segment_viterbi(pretoken: str, vocab: Vocabulary) -> List[str]:
     substring is sliced, and `<unk>` is tried after it. Token counts and
     piece sequences are rebuilt only on an exact score tie.
     """
-    if not pretoken:
-        raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
     trie = vocab._trie
     unk = vocab.unk_piece
@@ -243,8 +243,6 @@ def _path(back: List[int], piece_at: List[str], i: int) -> List[str]:
 def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
     """Longest-prefix-match left to right, along the same trie walk as
     `segment_viterbi`; unmatched characters map to the unknown piece."""
-    if not pretoken:
-        raise ValueError("pretoken must be nonempty")
     text = _with_marker(pretoken, vocab)
     trie = vocab._trie
     out: List[str] = []
@@ -276,6 +274,8 @@ def segment_greedy(pretoken: str, vocab: Vocabulary) -> List[str]:
 
 
 def _with_marker(pretoken: str, vocab: Vocabulary) -> str:
+    if not pretoken:
+        raise ValueError("pretoken must be nonempty")
     marker = vocab.boundary_marker
     if marker and not pretoken.startswith(marker):
         return marker + pretoken
@@ -354,28 +354,30 @@ def tokenize_corpus(
     character. When a line fails to read, the batch of the lines before it
     is yielded first, then the error is raised.
 
-    Pretokenized mode gives one span per pretoken, segmented on its own
-    (bigram statistics then stay within words). Each distinct pretoken is
-    segmented and recorded once per call, in corpus order, and equal
-    pretokens share that cached record, so callers must not mutate it. The
-    cache holds no pretoken longer than a fixed number of characters and
-    stops growing at a fixed number of distinct pretokens; the others are
-    segmented and recorded at every occurrence. It is freed when the
-    generator is exhausted.
+    Both modes share one batch step: each line's spans give cache keys, and
+    one lookup records the keys of the whole batch. Each distinct key is
+    segmented and recorded once per call, in corpus order, and equal keys
+    share that cached record, so callers must not mutate it. The cache holds
+    no key longer than a fixed number of characters and stops growing at a
+    fixed number of distinct keys; the others are segmented and recorded at
+    every occurrence. It is freed when the generator is exhausted.
+
+    Pretokenized mode gives one span per pretoken, its one key, segmented on
+    its own (bigram statistics then stay within words).
 
     Otherwise a nonempty line is one span whose text is the line with every
     U+0020 space (and no other whitespace) rewritten to the boundary marker
-    `▁` when the vocabulary uses it; an empty line has no spans. Its record is
-    the concatenation of its chunks' records. When no piece holds the
-    separator (the marker, or U+0020 without one) after its first character,
-    no piece can cross a separator, so the marked line is cut before each
-    separator; otherwise the whole marked line is one chunk. Each distinct
-    chunk is segmented and recorded once per call, cached and bounded as in
-    pretokenized mode. A chunk's scores are summed from 0, not from the
-    line's score so far, so where two covers of a chunk tie or nearly tie
-    (the same pieces in another order, say), one `segment_viterbi` call on
-    the whole line can round them apart and pick the other one. With exactly
-    representable sums, such as integer scores, the two always agree, and
+    `▁` when the vocabulary uses it; an empty line has no spans. Its keys are
+    the chunks that `Vocabulary._cut`, the one cut rule, makes of that text
+    with the marker prepended, and its record is the concatenation of their
+    records. Each separator (the marker, or U+0020 without one) starts a
+    chunk, as no piece can cross one, unless some piece holds the separator
+    after its first character; then the whole line is one chunk.
+    A chunk's scores are summed from 0, not from the line's score so far, so
+    where two covers of a chunk tie or nearly tie (the same pieces in
+    another order, say), one `segment_viterbi` call on the whole line can
+    round them apart and pick the other one. With exactly representable
+    sums, such as integer scores, the two always agree, and
     greedy segmentation always agrees with one call per line.
     """
     # module globals read at call time, so rebinding them takes effect
@@ -383,34 +385,28 @@ def tokenize_corpus(
     marker = vocab.boundary_marker
     # only whole-line mode cuts lines, so only it needs the cut rule (a scan
     # of every piece)
-    sep = None if pretokenized else vocab._cut_separator
+    cut = None if pretokenized else vocab._cut
     cache: Dict[str, List[T]] = {}
 
     def make(key: str) -> List[T]:
         return record(segment(key, vocab))
 
     for lines in corpus.batches():
+        # the cache keys of each line's spans: its pretokens, or the chunks
+        # of each nonempty line
         if pretokenized:
-            pretokens = pretokenize_lines(lines)
-            texts = list(chain.from_iterable(pretokens))
-            yield SpanBatch(lines, texts, _records(texts, cache, make), list(map(len, pretokens)))
-            continue
-        texts = [line.replace(" ", marker) if marker else line for line in lines if line]
-        # the cache keys are the lines' chunks, `chunks` of them per line; a
-        # line that cannot be cut is one chunk
-        keys: List[str] = []
-        chunks = []
-        for text in texts:
-            text = _with_marker(text, vocab)
-            head, *tails = text.split(sep) if sep else (text,)
-            start = len(keys)
-            if head:
-                keys.append(head)
-            keys += [sep + tail for tail in tails]
-            chunks.append(len(keys) - start)
-        found = iter(_records(keys, cache, make))
-        records = [list(chain.from_iterable(islice(found, n))) for n in chunks]
-        yield SpanBatch(lines, texts, records, [1 if line else 0 for line in lines])
+            keys = pretokenize_lines(lines)
+        else:
+            texts = [line.replace(" ", marker) if marker else line for line in lines if line]
+            keys = [cut(_with_marker(text, vocab)) for text in texts]
+        flat = list(chain.from_iterable(keys))
+        records = _records(flat, cache, make)
+        if pretokenized:
+            yield SpanBatch(lines, flat, records, list(map(len, keys)))
+        else:
+            found = iter(records)
+            records = [list(chain.from_iterable(islice(found, len(chunks)))) for chunks in keys]
+            yield SpanBatch(lines, texts, records, [1 if line else 0 for line in lines])
 
 
 def _records(

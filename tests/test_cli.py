@@ -59,6 +59,20 @@ def test_byte_premium(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("command", ["byte-premium", "counts"])
+def test_corpus_decode_error_names_its_file(capsys, tmp_path, command):
+    # byte-premium gets a valid target and a bad reference: the message
+    # says which of the two is bad
+    good = tmp_path / "good.txt"
+    good.write_text("xxxxxx\n", encoding="utf-8")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"y\xff\n")
+    args = [str(good), str(bad)] if command == "byte-premium" else [str(bad)]
+    code = main([command] + args)
+    err = capsys.readouterr().err
+    assert (code, err) == (1, f"morphlens: error: {bad}: invalid UTF-8 at byte offset 1\n")
+
+
 def test_tokenize(capsys, lang):
     corpus, vocab = lang
     code, out = run_cli(capsys, "tokenize", str(corpus), "--vocab", str(vocab))
@@ -99,7 +113,7 @@ def test_tokenize_input_error_after_valid_lines(capsys, tmp_path, lang, to_file)
     captured = capsys.readouterr()
     assert code == 1
     offset = len(CORPUS) + 2
-    assert captured.err == f"morphlens: error: invalid UTF-8 at byte offset {offset}\n"
+    assert captured.err == f"morphlens: error: {corpus}: invalid UTF-8 at byte offset {offset}\n"
     out = out_path.read_text(encoding="utf-8") if to_file else captured.out
     assert out == expected
 
@@ -117,7 +131,7 @@ def test_input_error_after_more_than_one_batch(capsys, tmp_path, lang, to_file):
     assert expected.count("\n") == valid.count("\n")
     corpus = tmp_path / "late.txt"
     corpus.write_bytes(valid.encode("utf-8") + b"ab\xff\n")
-    message = f"morphlens: error: invalid UTF-8 at byte offset {len(valid) + 2}\n"
+    message = f"morphlens: error: {corpus}: invalid UTF-8 at byte offset {len(valid) + 2}\n"
     out_path = tmp_path / "out.txt"
     out_args = ["--out", str(out_path)] if to_file else []
     code = main(["tokenize", str(corpus), "--vocab", str(vocab)] + out_args)
@@ -385,7 +399,7 @@ def test_run_exit_codes(capsys, tmp_path, lang):
     code = main(["run", "--config", str(partial)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err == "Broken: CorpusError: invalid UTF-8 at byte offset 0\n"
+    assert err == f"Broken: CorpusError: {broken}: invalid UTF-8 at byte offset 0\n"
 
 
 def test_run_empty_corpus_row_is_corpus_error(capsys, tmp_path, lang):

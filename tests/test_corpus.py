@@ -198,7 +198,7 @@ def oracle_lines(path):
             try:
                 yield stripped.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise CorpusError(f"invalid UTF-8 at byte offset {offset + e.start}") from e
+                raise CorpusError(f"{path}: invalid UTF-8 at byte offset {offset + e.start}") from e
             offset += len(raw)
 
 

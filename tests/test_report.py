@@ -215,7 +215,7 @@ def test_vocabulary_built_in_code_equals_loaded(vocab_name, corpus_name, pretoke
     loaded = load_vocab(os.path.join(GOLDEN, vocab_name))
     built = Vocabulary(pieces=dict(loaded.pieces))
     assert built.boundary_marker == loaded.boundary_marker
-    assert built._cut_separator == loaded._cut_separator
+    assert built._cut("a b▁c") == loaded._cut("a b▁c")
     corpus = read_lines(os.path.join(GOLDEN, corpus_name))
     assert analyze_language(corpus, built, pretokenized=pretokenized) == analyze_language(
         corpus, loaded, pretokenized=pretokenized

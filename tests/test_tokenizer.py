@@ -1,5 +1,6 @@
 import itertools
 import operator
+import pickle
 import random
 import re
 from pathlib import Path
@@ -188,6 +189,16 @@ def test_greedy_aaa():
 def test_greedy_unknown_first_char():
     v = vocab_of(a=-1.0)
     assert segment_greedy("ba", v) == [v.unk_piece, "a"]
+
+
+@pytest.mark.parametrize("segment", [segment_viterbi, segment_greedy])
+@pytest.mark.parametrize(
+    "pieces", [{"▁": -1.0, "▁a": -1.0}, {"a": -1.0}], ids=["marker", "plain"]
+)
+def test_segment_empty_pretoken_errors(segment, pieces):
+    # with a marker, "" would be the nonempty "▁" once marked
+    with pytest.raises(ValueError, match="^pretoken must be nonempty$"):
+        segment("", Vocabulary(pieces=pieces))
 
 
 # --- oracle comparison -----------------------------------------------------
@@ -630,6 +641,19 @@ def test_tokenize_wholeline_piece_across_separator(pieces, line, span):
     vocab = Vocabulary(pieces=pieces)
     lines = line_spans(tokenize_corpus(Corpus.from_lines([line]), vocab, pretokenized=False))
     assert lines == [(line, [span])]
+
+
+@pytest.mark.parametrize(
+    "pieces, chunks",
+    [({"▁": -1.0, "a▁b": -0.5}, ["▁a▁b"]), ({"▁": -1.0, "▁a": -1.0}, ["▁a", "▁b"])],
+    ids=["whole", "cut"],
+)
+def test_vocabulary_pickles_after_wholeline_tokenize(pieces, chunks):
+    # whole-line mode caches the cut rule on the vocabulary, which still
+    # pickles, say to be sent to a worker process
+    vocab = Vocabulary(pieces=pieces)
+    list(tokenize_corpus(Corpus.from_lines(["a b"]), vocab, pretokenized=False))
+    assert pickle.loads(pickle.dumps(vocab))._cut("▁a▁b") == chunks
 
 
 # Corpora one short of, at and one past a batch of lines, and into a third

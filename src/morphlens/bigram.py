@@ -17,6 +17,10 @@ Dummies never enter windows or count tables; they are tallied only in b.
 A window's count table drops an accessor when its count reaches 0, so the
 distinct count is the table's size; the table and the entropy accumulator
 sum c*log2(c) update in O(1) per element entering or leaving the window.
+Most types are rare and never fill a window, so the table is built only
+when the window first fills: until then the window list is the whole
+state, and a read of the table replays it. A side with no accessor shares
+one empty window and allocates nothing of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +38,10 @@ from .pretokenize import is_lexical
 from .tokenizer import Interner
 
 DEFAULT_WINDOW = 1000
+
+# The window of every side with no accessor yet; never mutated, as a side's
+# first accessor gives it a list of its own.
+_NO_ACCESSORS: List[int] = []
 
 # Pending pairs that trigger a replay into the accessor windows. The replay
 # is the one step of the accumulation pass that defers work: replaying every
@@ -71,16 +79,18 @@ class AccessorState:
 
     `window` holds the last `capacity` accessors, oldest first, and `counts`
     their counts: an accessor leaves the table when its count reaches 0, so
-    `len(counts)` is the window's distinct count. `push` is the
-    one-at-a-time reference, O(capacity) per accessor once the window is
-    full; `extend` is the batched path `BigramTables` uses."""
+    `len(counts)` is the window's distinct count. The table is built when
+    the window first fills; until then `counts` and `entropy_acc` replay the
+    window. `push` is the one-at-a-time reference, O(capacity) per accessor
+    once the window is full; `extend` is the batched path `BigramTables`
+    uses."""
 
     __slots__ = (
         "capacity",
         "stride",
         "window",
-        "counts",
-        "entropy_acc",
+        "_counts",
+        "_acc",
         "ta",
         "dummies",
         "av_sum",
@@ -97,9 +107,9 @@ class AccessorState:
     ):
         self.capacity = capacity
         self.stride = stride
-        self.window: List[int] = []
-        self.counts: Dict[int, int] = {}
-        self.entropy_acc = 0.0  # sum of c * log2(c) over window counts
+        self.window: List[int] = _NO_ACCESSORS
+        self._counts: Optional[Dict[int, int]] = None  # built when the window fills
+        self._acc = 0.0  # sum of c * log2(c) over the counts, once built
         self.ta = 0
         self.dummies = 0
         self.av_sum = 0  # sum of distinct counts over sampled full windows
@@ -114,71 +124,108 @@ class AccessorState:
         """Accessors in the window: min(ta, capacity)."""
         return len(self.window)
 
+    @property
+    def counts(self) -> Dict[int, int]:
+        return self._table()[0]
+
+    @property
+    def entropy_acc(self) -> float:
+        return self._table()[1]
+
+    def _table(self, steps: Optional[Sequence[float]] = None) -> Tuple[Dict[int, int], float]:
+        """(counts, entropy_acc) of the window: the table once the window has
+        filled, else a replay of the window oldest first, from 0.0, with
+        `steps` (`entropy_steps` of at least the fill). The replay makes the
+        same additions in the same order as a table kept from the start."""
+        if self._counts is not None:
+            return self._counts, self._acc
+        if steps is None:
+            steps = entropy_steps(len(self.window))
+        counts: Dict[int, int] = {}
+        get = counts.get
+        acc = 0.0
+        for a in self.window:
+            c = get(a, 0)
+            counts[a] = c + 1
+            acc += steps[c]
+        return counts, acc
+
     def push(self, accessor: int) -> None:
         if self.life_counts is not None:
             self.life_counts[accessor] = self.life_counts.get(accessor, 0) + 1
-        counts = self.counts
+        counts = self._counts
         window = self.window
-        if len(window) == self.capacity:
+        self.ta += 1
+        if counts is None:
+            if not window:
+                window = self.window = []
+            window.append(accessor)
+            if len(window) < self.capacity:
+                return
+            counts, self._acc = self._table()
+            self._counts = counts
+        else:
             old = window.pop(0)
             c = counts[old]
             if c == 1:
                 del counts[old]
             else:
                 counts[old] = c - 1
-            self.entropy_acc += _clog2(c - 1) - _clog2(c)
-        window.append(accessor)
-        c = counts.get(accessor, 0)
-        counts[accessor] = c + 1
-        self.entropy_acc += _clog2(c + 1) - _clog2(c)
-        self.ta += 1
-        if len(window) == self.capacity and (self.ta - self.capacity) % self.stride == 0:
-            self.av_sum += len(counts)
-            w = self.capacity
-            # clamp: accumulated rounding can push a zero entropy negative
-            self.h_sum += max(0.0, math.log2(w) - self.entropy_acc / w)
-            self.snapshots += 1
+            self._acc += _clog2(c - 1) - _clog2(c)
+            window.append(accessor)
+            c = counts.get(accessor, 0)
+            counts[accessor] = c + 1
+            self._acc += _clog2(c + 1) - _clog2(c)
+            if (self.ta - self.capacity) % self.stride:
+                return
+        self.av_sum += len(counts)
+        w = self.capacity
+        # clamp: accumulated rounding can push a zero entropy negative
+        self.h_sum += max(0.0, math.log2(w) - self._acc / w)
+        self.snapshots += 1
 
     def extend(self, accessors: List[int], steps: Sequence[float]) -> None:
         """Push every accessor in order; the state ends slot for slot equal
         to repeated `push`, floats included, because the same additions run
         in the same order. `steps` is `entropy_steps(capacity)`: a count
         entering at c adds steps[c], one leaving at c adds -steps[c - 1]."""
+        if not accessors:
+            return
         life = self.life_counts
         if life is not None:
             for a in accessors:
                 life[a] = life.get(a, 0) + 1
         cap = self.capacity
         window = self.window
-        counts = self.counts
-        get = counts.get
-        acc = self.entropy_acc
         room = cap - len(window)
         if room:
-            fresh = accessors[:room]
-            for a in fresh:
-                c = get(a, 0)
-                counts[a] = c + 1
-                acc += steps[c]
-            self.ta += len(fresh)
-            if self.ta == cap:
-                # the first full window is always sampled
-                self.av_sum += len(counts)
-                h = math.log2(cap) - acc / cap
-                self.h_sum += h if h > 0.0 else 0.0
-                self.snapshots += 1
-        window += accessors
-        if len(window) > cap:
+            self.window = window = window + accessors[:room]
+            self.ta = len(window)
+            if self.ta < cap:
+                return
+            counts, acc = self._table(steps)
+            self._counts = counts
+            # the first full window is always sampled
+            self.av_sum += len(counts)
+            h = math.log2(cap) - acc / cap
+            self.h_sum += h if h > 0.0 else 0.0
+            self.snapshots += 1
+            accessors = accessors[room:]
+        else:
+            counts = self._counts
+            acc = self._acc
+        if accessors:
+            window += accessors
+            get = counts.get
             stride = self.stride
             until = stride - (self.ta - cap) % stride  # steps to the next sample
             av_sum = self.av_sum
             h_sum = self.h_sum
             snapshots = self.snapshots
             log2w = math.log2(cap)
-            entering = accessors[room:]
             # the window now lists every accessor oldest first, so the k-th
             # entering accessor pushes out window[k]
-            for old, a in zip(window, entering):
+            for old, a in zip(window, accessors):
                 c = counts[old]
                 if c == 1:
                     del counts[old]
@@ -198,9 +245,9 @@ class AccessorState:
             self.av_sum = av_sum
             self.h_sum = h_sum
             self.snapshots = snapshots
-            self.ta += len(entering)
+            self.ta += len(accessors)
             del window[:-cap]
-        self.entropy_acc = acc
+        self._acc = acc
 
     # --- windowed metrics -------------------------------------------------
 
@@ -248,11 +295,14 @@ class AccessorState:
         return self.dummies / total if total else 0.0
 
 
-def _side(st: AccessorState, pool: int, lifetime_eta: bool) -> Tuple[float, float, float, float]:
+def _side(
+    st: AccessorState, pool: int, lifetime_eta: bool, steps: Sequence[float]
+) -> Tuple[float, float, float, float]:
     """(AV, AU, eta, BR) of one state: `windowed_av`, `windowed_au`,
     `windowed_eta` (or `lifetime_eta`) and `boundary_ratio` inlined, with the
     same float operations in the same order (the clamps are conditional
-    expressions, not calls of `max` and `min`). eta is 0 for an empty pool."""
+    expressions, not calls of `max` and `min`). An unfilled window is
+    replayed once with `steps`. eta is 0 for an empty pool."""
     snapshots = st.snapshots
     if snapshots:
         av = st.av_sum / snapshots
@@ -261,11 +311,12 @@ def _side(st: AccessorState, pool: int, lifetime_eta: bool) -> Tuple[float, floa
         h = st.h_sum / snapshots
     else:
         n = len(st.window)
-        av = float(len(st.counts))
-        au = h = 0.0
+        av = au = h = 0.0
         if n:
+            counts, acc = st._table(steps)
+            av = float(len(counts))
             au = av / n
-            h = log2(n) - st.entropy_acc / n
+            h = log2(n) - acc / n
             h = h if h > 0.0 else 0.0
     if lifetime_eta:
         eta = st.lifetime_eta(pool) if pool else 0.0
@@ -476,6 +527,7 @@ class BigramTables:
         left, right, strings = self._left, self._right, self.type_strings
         pool_left, pool_right = self.pools()
         lifetime_eta = self.lifetime_eta
+        steps = self._steps
         new = tuple.__new__  # a record from one tuple, with no keyword parsing
 
         types: List[TypeMetrics] = []
@@ -487,8 +539,8 @@ class BigramTables:
                 continue
             lexical += 1
             rs = right[tid]
-            av_l, au_l, eta_l, br_l = _side(ls, pool_left, lifetime_eta)
-            av_r, au_r, eta_r, br_r = _side(rs, pool_right, lifetime_eta)
+            av_l, au_l, eta_l, br_l = _side(ls, pool_left, lifetime_eta, steps)
+            av_r, au_r, eta_r, br_r = _side(rs, pool_right, lifetime_eta, steps)
             keep = br_l < 0.95 or br_r < 0.95
             tm = new(TypeMetrics, (strings[tid], f, av_l, av_r, au_l, au_r, eta_l, eta_r, br_l, br_r, keep))
             types.append(tm)

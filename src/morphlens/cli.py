@@ -169,7 +169,11 @@ def cmd_stats(args) -> List[str]:
     if len(args.inputs) != n_files:
         raise UsageError(message)
     result = test(stats, [stats.read_column(p) for p in args.inputs], args)
-    return json.dumps(result, indent=2, default=asdict).split("\n")
+    try:  # `Infinity` and `NaN` are not JSON
+        text = json.dumps(result, indent=2, default=asdict, allow_nan=False)
+    except ValueError:
+        raise stats.StatsError("values out of range: a result is beyond the float range") from None
+    return text.split("\n")
 
 
 def cmd_run(args) -> Iterator[str]:

@@ -7,14 +7,14 @@ gap tests share one Welch core, and `_p_value` alone turns a t into a p.
 The incomplete beta function uses a continued-fraction evaluation (modified
 Lentz) with relative tolerance 1e-12, so p-values are reproducible without
 external dependencies. Every test takes an explicit alternative; there are
-no silent one-sided/two-sided defaults.
+no silent one-sided/two-sided defaults. Finite values whose squares or sums
+pass the float range are a `StatsError`, not an overflow or an inf.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import random
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -39,6 +39,22 @@ def _sum(values: Iterable[float]) -> float:
     """`values` added left to right, the same on every Python version:
     sum() of floats compensates from 3.12 on, which moves the last digits."""
     return reduce(add, values, 0.0)
+
+
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise StatsError(f"values too large: {what} is beyond the float range")
+    return value
+
+
+def _finite_sum(terms: Iterable[float], what: str) -> float:
+    """`_sum(terms)`, or a StatsError when a term or the sum passes the
+    float range: a float `**` raises OverflowError where `*` gives inf."""
+    try:
+        total = _sum(terms)
+    except OverflowError:
+        total = math.inf
+    return _finite(total, what)
 
 
 def read_column(path: Union[str, os.PathLike]) -> Sample:
@@ -95,7 +111,7 @@ class Sample:
         if self.n < 2:
             raise StatsError("variance needs at least 2 observations")
         m = self.mean()
-        return _sum((v - m) ** 2 for v in self.values) / (self.n - 1)
+        return _finite_sum(((v - m) ** 2 for v in self.values), "the variance") / (self.n - 1)
 
     def median(self) -> float:
         s = sorted(self.values)
@@ -105,28 +121,6 @@ class Sample:
         return (s[mid - 1] + s[mid]) / 2
 
 
-@dataclass
-class Descriptive:
-    mean: float
-    variance: float
-    median: float
-
-
-def descriptive(sample: Sample) -> Descriptive:
-    var = sample.variance() if sample.n >= 2 else 0.0
-    return Descriptive(mean=sample.mean(), variance=var, median=sample.median())
-
-
-def trimmed(sample: Sample, proportion: float = 0.1) -> Sample:
-    """Symmetrically trimmed sample (robustness aid; no stance on whether
-    trimming or the median is the 'correct' outlier treatment)."""
-    if not 0 <= proportion < 0.5:
-        raise StatsError("trim proportion must be in [0, 0.5)")
-    k = int(sample.n * proportion)
-    values = sorted(sample.values)[k : sample.n - k]
-    return Sample.of(values)
-
-
 def _centered_sums(x: Sample, y: Sample, min_n: int, what: str) -> Tuple[float, ...]:
     """The means of paired samples, then their centered sums S_xx, S_xy, S_yy."""
     if x.n != y.n:
@@ -134,9 +128,9 @@ def _centered_sums(x: Sample, y: Sample, min_n: int, what: str) -> Tuple[float, 
     if x.n < min_n:
         raise StatsError(f"{what} needs at least {min_n} observations")
     mx, my = x.mean(), y.mean()
-    sxx = _sum((a - mx) ** 2 for a in x.values)
-    sxy = _sum((a - mx) * (b - my) for a, b in zip(x.values, y.values))
-    syy = _sum((b - my) ** 2 for b in y.values)
+    sxx = _finite_sum(((a - mx) ** 2 for a in x.values), "S_xx")
+    sxy = _finite_sum(((a - mx) * (b - my) for a, b in zip(x.values, y.values)), "S_xy")
+    syy = _finite_sum(((b - my) ** 2 for b in y.values), "S_yy")
     return mx, my, sxx, sxy, syy
 
 
@@ -278,11 +272,13 @@ def _welch_variance(samples: Sequence[Sample], test: str, all_zero: str) -> Tupl
     if any(s.n < 2 for s in samples):
         raise StatsError(f"{test} test needs at least 2 observations per sample")
     mean_vars = [s.variance() / s.n for s in samples]
-    total = _sum(mean_vars)
+    total = _finite(_sum(mean_vars), "the squared standard error")
     if total == 0:
         raise StatsError(all_zero)
-    df = total * total / _sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples))
-    return total, df
+    squares = _finite(_sum(v * v / (s.n - 1) for v, s in zip(mean_vars, samples)), "the Welch df")
+    if squares == 0:
+        raise StatsError(f"values too close together: the {test} test's squared variances underflow to 0")
+    return total, _finite(total * total / squares, "the Welch df")
 
 
 def welch_t_test(
@@ -400,39 +396,6 @@ def duplication_effect(
         t_ratio_theory=math.sqrt(k),
         nu_ratio_theory=float(k),
     )
-
-
-# ---------------------------------------------------------------------------
-# Seeded demo generators (stdlib `random.Random`, a Mersenne Twister seeded
-# explicitly; the fixed algorithm makes the stochastic examples reproducible,
-# so tests can use tolerance bands instead of exact values)
-
-
-def near_significant_pair(
-    seed: int,
-    n: int = 25,
-    mean1: float = 1.0,
-    sd1: float = 1.0,
-    mean2: float = 1.4,
-    sd2: float = 1.05,
-) -> Tuple[Sample, Sample]:
-    """Two normal samples whose Welch test hovers around significance; the
-    scenario used to demonstrate how measurement duplication flips test
-    decisions."""
-    rng = random.Random(seed)
-    s1 = Sample.of([rng.gauss(mean1, sd1) for _ in range(n)])
-    s2 = Sample.of([rng.gauss(mean2, sd2) for _ in range(n)])
-    return s1, s2
-
-
-def quadratic_regression_pair(
-    seed: int, n: int = 20000, low: float = -0.96, high: float = 1.04
-) -> Tuple[Sample, Sample]:
-    """X uniform on (low, high), Y = X^2: a perfectly causal relation that a
-    simple linear regression nevertheless barely explains."""
-    rng = random.Random(seed)
-    x = [rng.uniform(low, high) for _ in range(n)]
-    return Sample.of(x), Sample.of([v * v for v in x])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,3 +54,17 @@ def boundary_lines(fresh_pretokenizer):
     batch size; the pretokenizer starts from ASCII, so it learns "¡" and "‽"
     from them."""
     return _boundary_lines
+
+
+STATISTICS_DEMO = Path(__file__).resolve().parent.parent / "demos" / "04_statistics.py"
+
+
+@pytest.fixture(scope="session")
+def statistics_demo():
+    """`demos/04_statistics.py` as a module, without running its `main`: it
+    holds the one copy of the seeded scenarios `near_significant_pair` and
+    `quadratic_regression_pair`."""
+    spec = importlib.util.spec_from_file_location("statistics_demo", STATISTICS_DEMO)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -30,13 +30,10 @@ from morphlens.stats import (
     TWO_SIDED,
     Sample,
     correlation,
-    descriptive,
     duplicate_sample,
     duplication_effect,
     gap_reduction_test,
-    near_significant_pair,
     ols_simple,
-    quadratic_regression_pair,
     t_quantile,
     welch_t_test,
 )
@@ -78,15 +75,15 @@ def test_01_reference_segmentation_scores():
 def test_02_outlier_descriptives():
     """Mean chases a single outlier, the median holds; correlation decays."""
     for k, mean in ((5, 3.0), (140, 30.0), (1490, 300.0)):
-        d = descriptive(Sample.of([1, 2, 3, 4, k]))
-        assert round(d.mean, 2) == mean
-        assert d.median == 3.0
+        s = Sample.of([1, 2, 3, 4, k])
+        assert round(s.mean(), 2) == mean
+        assert s.median() == 3.0
     y = Sample.of([10, 20, 30, 40, 50])
     for k, r in ((5, 1.00), (10, 0.89), (20, 0.80), (100, 0.72)):
         assert round(correlation(Sample.of([1, 2, 3, 4, k]), y), 2) == r
 
 
-def test_03_duplication_effects():
+def test_03_duplication_effects(statistics_demo):
     """Duplicating measurements shrinks variance by the exact factor, never
     raises the p-value, and flips a near-significant comparison for most
     seeds."""
@@ -123,7 +120,7 @@ def test_03_duplication_effects():
     dup_significant = 0
     plain_not_significant = 0
     for seed in range(1000):
-        s1, s2 = near_significant_pair(seed)
+        s1, s2 = statistics_demo.near_significant_pair(seed)
         p_plain = welch_t_test(s1, s2, LESS).p_value
         p_dup = welch_t_test(
             duplicate_sample(s1, 3), duplicate_sample(s2, 3), LESS
@@ -137,11 +134,11 @@ def test_03_duplication_effects():
     assert time.monotonic() - start < 10.0
 
 
-def test_04_quadratic_regression_demo():
+def test_04_quadratic_regression_demo(statistics_demo):
     """Y = X^2 on a slightly off-center uniform X: a real effect that a
     linear fit barely explains yet reports as overwhelmingly significant."""
     start = time.monotonic()
-    x, y = quadratic_regression_pair(seed=0)
+    x, y = statistics_demo.quadratic_regression_pair(seed=0)
     r = ols_simple(x, y)
     assert 0.012 <= r.adj_r2 <= 0.032
     assert r.t1 > 15

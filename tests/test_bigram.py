@@ -1,14 +1,16 @@
+import gc
 import math
 import os
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from morphlens import bigram
@@ -372,6 +374,13 @@ def slots(state):
     accessors=st.lists(st.integers(0, 6), max_size=120),
     cuts=st.lists(st.integers(0, 120), max_size=6),
 )
+# the first fill: at the first accessor, mid-extend, exactly at an extend's
+# end, with stride > 1, and with lifetime tracking
+@example(window=1, stride=1, lifetime=False, accessors=[3, 4, 4, 5, 5], cuts=[1, 4])
+@example(window=4, stride=1, lifetime=False, accessors=[1, 2, 3, 1, 2, 9, 2], cuts=[2, 6])
+@example(window=4, stride=1, lifetime=False, accessors=[1, 2, 3, 4, 4], cuts=[4])
+@example(window=4, stride=3, lifetime=False, accessors=[1, 2, 3, 4, 5, 1, 1, 7, 7, 7, 7], cuts=[1, 7])
+@example(window=4, stride=2, lifetime=True, accessors=[1, 1, 2, 2, 3, 3, 1, 1], cuts=[3, 7])
 @settings(max_examples=400, deadline=None)
 def test_extend_equals_repeated_push(window, stride, lifetime, accessors, cuts):
     # floats compare with ==: extend must add the same terms in the same order
@@ -528,6 +537,54 @@ def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, str
         if n
         else (None,) * 4
     )
+
+
+# --- per-type memory -------------------------------------------------------
+
+
+def owned_containers(state):
+    """The lists and dicts a state refers to, but the shared empty window."""
+    return [
+        r for r in gc.get_referents(state)
+        if isinstance(r, (list, dict)) and r is not bigram._NO_ACCESSORS
+    ]
+
+
+def test_state_without_accessors_owns_no_container():
+    t = BigramTables(window=4)
+    for span in (["a"], ["b"], ["a", "c"], ["c", "d", "c"]):
+        t.observe_span(span)
+    a, b, c, d = (t.type_ids[x] for x in "abcd")
+    # a and b have no left accessor, and b no right one
+    for state in (t.left[a], t.left[b], t.right[b], AccessorState()):
+        assert owned_containers(state) == []
+    s = AccessorState()
+    s.extend([], entropy_steps(s.capacity))
+    assert owned_containers(s) == []
+    # below capacity the window is the whole state: no count table yet
+    assert owned_containers(t.left[c]) == [t.left[c].window] == [[a, d]]
+
+
+def test_rare_types_cost_bounded_memory():
+    # half the types only ever form single-token spans (no accessor), the
+    # rest come in two-token spans seen twice. Python 3.10-3.13 trace about
+    # 480-490 bytes a type here; a count table and a window list on every
+    # side made it 785-800.
+    n = 20000
+    words = [f"w{i}" for i in range(n)]
+    rare = words[n // 2 :]
+    spans = [[w] for w in words[: n // 2]] + [[a, b] for a, b in zip(rare[::2], rare[1::2])] * 2
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        t = BigramTables()
+        for span in spans:
+            t.observe_span(span)
+        assert len(t.left) == n
+        per_type = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert per_type < 600
 
 
 # --- c*log2(c) under threads -----------------------------------------------

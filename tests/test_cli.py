@@ -9,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import morphlens
@@ -954,6 +954,84 @@ def test_stats_ols_exact_fit_is_one_line_error(capsys, tmp_path):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "morphlens: error: exact fit: the slope's standard error is zero\n"
+
+
+def run_stats(test, columns, options=()):
+    """(exit code, output, stderr) of `stats test` on one file per column,
+    each value written as its repr, so the command reads back the same
+    floats."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{i}.csv") for i in range(len(columns) + 1)]
+        for path, column in zip(paths, columns):
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(f"{v!r}\n" for v in column)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["stats", test, "--in", *paths[:-1], "--out", paths[-1], *options])
+        out = Path(paths[-1]).read_text(encoding="utf-8") if os.path.exists(paths[-1]) else ""
+    return code, out, err.getvalue()
+
+
+SMALL = [1.0, 2.0, 3.0]
+OVERFLOW = [1e155, -1e155]  # finite values whose squared deviations are not
+HUGE = [1.5e308, 1.6e308, 1.7e308]  # finite values whose sum is not
+TINY_SPREAD = [0.0, 1e-100]  # a variance whose square underflows to 0
+
+
+@pytest.mark.parametrize(
+    "test, columns, message",
+    [
+        ("welch", [OVERFLOW, SMALL], "values too large: the variance is beyond the float range"),
+        ("dup", [SMALL, OVERFLOW], "values too large: the variance is beyond the float range"),
+        ("gap", [SMALL, SMALL, SMALL, OVERFLOW], "values too large: the variance is beyond the float range"),
+        ("ols", [OVERFLOW + [3.0], [1.0, 2.0, 4.0]], "values too large: S_xx is beyond the float range"),
+        ("ols", [SMALL, OVERFLOW + [3.0]], "values too large: S_yy is beyond the float range"),
+        ("welch", [HUGE, SMALL], "values too large: the variance is beyond the float range"),
+        ("ols", [HUGE, SMALL], "values too large: S_xx is beyond the float range"),
+        ("welch", [[1e153, 3e153], [1e153, 3e153]], "values too large: the Welch df is beyond the float range"),
+        ("welch", [TINY_SPREAD, TINY_SPREAD],
+         "values too close together: the welch test's squared variances underflow to 0"),
+        # a gap of 1e300 over a standard error of 5e-51: the t statistic is not finite
+        ("welch", [[1e300, 1e300], [0.0, 1e-50]], "values out of range: a result is beyond the float range"),
+    ],
+    ids=["welch", "dup", "gap", "ols-x", "ols-y", "welch-sum", "ols-sum", "welch-df", "welch-underflow",
+         "welch-t"],
+)
+def test_stats_out_of_range_is_one_line_error(test, columns, message):
+    assert run_stats(test, columns) == (1, "", f"morphlens: error: {message}\n")
+
+
+STATS_FILES = {"welch": 2, "gap": 4, "holm": 1, "dup": 2, "ols": 2}
+
+
+@given(
+    test=st.sampled_from(sorted(STATS_FILES)),
+    columns=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6),
+        min_size=4,
+        max_size=4,
+    ),
+    options=st.tuples(st.sampled_from(["two-sided", "less", "greater"]), st.integers(1, 4)).map(
+        lambda t: ["--alternative", t[0], "--k", str(t[1])]
+    ),
+)
+@example(test="welch", columns=[OVERFLOW, SMALL, [], []], options=[])
+@example(test="ols", columns=[OVERFLOW + [3.0], [1.0, 2.0, 4.0], [], []], options=[])
+@example(test="dup", columns=[HUGE, SMALL, [], []], options=[])
+@example(test="gap", columns=[SMALL, SMALL, TINY_SPREAD, TINY_SPREAD], options=[])
+@example(test="welch", columns=[[1e300, 1e300], [0.0, 1e-50], [], []], options=[])
+@settings(max_examples=200, deadline=None)
+def test_stats_any_finite_columns_exit_cleanly(test, columns, options):
+    # no exception escapes `main`, a result is strict JSON, and an error is
+    # one line on stderr
+    code, out, err = run_stats(test, columns[: STATS_FILES[test]], options)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in the output"))
+    else:
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 # --- generated corpora at the command boundary ------------------------------

@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import morphlens
 from morphlens.stats import (
     GREATER,
     LESS,
@@ -11,17 +15,13 @@ from morphlens.stats import (
     StatsError,
     betainc_reg,
     correlation,
-    descriptive,
     duplicate_sample,
     duplication_effect,
     gap_reduction_test,
     holm_bonferroni,
-    near_significant_pair,
     ols_simple,
-    quadratic_regression_pair,
     t_cdf,
     t_quantile,
-    trimmed,
     welch_t_test,
 )
 
@@ -43,18 +43,18 @@ def test_sample_rejects_empty_and_nonfinite():
 
 
 def test_descriptive_basic():
-    d = descriptive(S(1, 2, 3, 4, 5))
-    assert d.mean == 3.0
-    assert d.variance == 2.5
-    assert d.median == 3.0
+    s = S(1, 2, 3, 4, 5)
+    assert s.mean() == 3.0
+    assert s.variance() == 2.5
+    assert s.median() == 3.0
 
 
 def test_descriptive_outlier_contrast():
     # the mean chases a single wild value; the median does not
     for k, mean in ((5, 3), (140, 30), (1490, 300)):
-        d = descriptive(S(1, 2, 3, 4, k))
-        assert d.mean == pytest.approx(mean)
-        assert d.median == 3.0
+        s = S(1, 2, 3, 4, k)
+        assert s.mean() == pytest.approx(mean)
+        assert s.median() == 3.0
 
 
 def test_median_breakdown_contrast():
@@ -71,6 +71,14 @@ def test_sums_add_left_to_right():
 
 def test_constant_sample_zero_variance():
     assert S(7, 7, 7).variance() == 0.0
+
+
+def trimmed(sample, proportion):
+    """The sample without its `proportion` smallest and largest values."""
+    if not 0 <= proportion < 0.5:
+        raise StatsError("trim proportion must be in [0, 0.5)")
+    k = int(sample.n * proportion)
+    return Sample.of(sorted(sample.values)[k : sample.n - k])
 
 
 def test_trimmed():
@@ -364,8 +372,24 @@ def test_duplication_lowers_p():
     assert checked > 900
 
 
-def test_duplication_ratio_approximations():
-    s1, s2 = near_significant_pair(seed=42)
+def test_seeded_scenarios_need_no_numpy(statistics_demo):
+    # the demo's generators run on the standard library alone
+    src = os.path.dirname(os.path.dirname(os.path.abspath(morphlens.__file__)))
+    code = (
+        "import runpy, sys\n"
+        "demo = runpy.run_path(sys.argv[1])\n"
+        "demo['near_significant_pair'](seed=1)\n"
+        "demo['quadratic_regression_pair'](seed=0, n=100)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [sys.executable, "-c", code, statistics_demo.__file__]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_duplication_ratio_approximations(statistics_demo):
+    s1, s2 = statistics_demo.near_significant_pair(seed=42)
     eff = duplication_effect(s1, s2, k=3, alternative=TWO_SIDED)
     # exact finite-n relation for equal sample sizes:
     # T* = sqrt((kn-1)/(n-1)) * T; for n=25, k=3 that is 1.38% above
@@ -428,8 +452,8 @@ def test_ols_against_scipy():
     assert mine.p1 == pytest.approx(float(ref.pvalue), abs=1e-10)
 
 
-def test_ols_quadratic_demo():
-    x, y = quadratic_regression_pair(seed=0)
+def test_ols_quadratic_demo(statistics_demo):
+    x, y = statistics_demo.quadratic_regression_pair(seed=0)
     r = ols_simple(x, y)
     assert 0.012 <= r.adj_r2 <= 0.032
     assert r.beta1 == pytest.approx(0.076, abs=0.01)

@@ -13,7 +13,9 @@ last W accessors (default W=1000) and derive:
   LR   lexicalization ratio: share of lexical types filtered for
        min(BR_L, BR_R) >= 0.95
 
-Dummies never enter windows or count tables; they are tallied only in b.
+Dummies never enter windows or count tables. Only b_L is tallied: a token
+is its span's first or has a left accessor, and its span's last or has a
+right accessor, so b_R is derived from f = TA_L + b_L = TA_R + b_R.
 A window's count table drops an accessor when its count reaches 0, so the
 distinct count is the table's size; the table and the entropy accumulator
 sum c*log2(c) update in O(1) per element entering or leaving the window.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import reduce
-from itertools import chain, pairwise
+from itertools import pairwise
 from math import log2
 from operator import add, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -39,9 +41,10 @@ from .tokenizer import Interner
 
 DEFAULT_WINDOW = 1000
 
-# The window of every side with no accessor yet; never mutated, as a side's
-# first accessor gives it a list of its own.
+# The window and lifetime count table of every side with no accessor yet;
+# never mutated, as a side's first accessor gives it its own.
 _NO_ACCESSORS: List[int] = []
+_NO_COUNTS: Dict[int, int] = {}
 
 # Pending pairs that trigger a replay into the accessor windows. The replay
 # is the one step of the accumulation pass that defers work: replaying every
@@ -117,7 +120,7 @@ class AccessorState:
         self.snapshots = 0
         # lifetime count table, only allocated when eta is to be computed
         # over the whole accessor history instead of windows
-        self.life_counts: Optional[Dict[int, int]] = {} if track_lifetime else None
+        self.life_counts: Optional[Dict[int, int]] = _NO_COUNTS if track_lifetime else None
 
     @property
     def fill(self) -> int:
@@ -151,8 +154,11 @@ class AccessorState:
         return counts, acc
 
     def push(self, accessor: int) -> None:
-        if self.life_counts is not None:
-            self.life_counts[accessor] = self.life_counts.get(accessor, 0) + 1
+        life = self.life_counts
+        if life is not None:
+            if life is _NO_COUNTS:
+                life = self.life_counts = {}
+            life[accessor] = life.get(accessor, 0) + 1
         counts = self._counts
         window = self.window
         self.ta += 1
@@ -193,6 +199,8 @@ class AccessorState:
             return
         life = self.life_counts
         if life is not None:
+            if life is _NO_COUNTS:
+                life = self.life_counts = {}
             for a in accessors:
                 life[a] = life.get(a, 0) + 1
         cap = self.capacity
@@ -433,6 +441,7 @@ class BigramTables:
         self._pending_left: List[List[int]] = []
         self._pending_right: List[List[int]] = []
         self._pending = 0
+        self._right_dummies_stale = False  # spans arrived since b_R was derived
         # entropy steps for the counts reached so far: no count exceeds the
         # window or the pairs seen, and a huge window must not cost memory
         self._steps: List[float] = []
@@ -441,13 +450,13 @@ class BigramTables:
     @property
     def left(self) -> List[AccessorState]:
         """Predecessor-side state of every type id, with all pairs applied."""
-        self._flush()
+        self._sync()
         return self._left
 
     @property
     def right(self) -> List[AccessorState]:
         """Successor-side state of every type id, with all pairs applied."""
-        self._flush()
+        self._sync()
         return self._right
 
     def _grow(self) -> None:
@@ -467,31 +476,40 @@ class BigramTables:
 
     def observe_spans(self, records: Sequence[Sequence[int]]) -> None:
         """The id sequences of word spans, each nonempty, in corpus order:
-        adjacent pairs feed both sides' windows; the first and last token of
-        a span each tally one dummy."""
+        adjacent pairs feed both sides' windows; the first token of a span
+        tallies one dummy in b_L, and b_R is derived from f = TA + b on read."""
         if len(self._left) < len(self.type_strings):
             self._grow()
         left = self._left
-        right = self._right
         for tid, n in Counter(map(itemgetter(0), records)).items():
             left[tid].dummies += n
-        for tid, n in Counter(map(itemgetter(-1), records)).items():
-            right[tid].dummies += n
         pending_left = self._pending_left
         pending_right = self._pending_right
-        for prev, cur in chain.from_iterable(map(pairwise, records)):
-            pending_right[prev].append(cur)
-            pending_left[cur].append(prev)
+        for record in records:
+            if len(record) > 1:
+                for prev, cur in pairwise(record):
+                    pending_right[prev].append(cur)
+                    pending_left[cur].append(prev)
         pairs = sum(map(len, records)) - len(records)
         self.total_pairs += pairs
         self._pending += pairs
+        self._right_dummies_stale = True
         if self._pending >= _FLUSH_PAIRS:
             self._flush()
 
-    def _flush(self) -> None:
-        """Replay the pending accessors into their windows."""
+    def _sync(self) -> None:
+        """Apply every pending pair, then derive b_R = TA_L + b_L - TA_R if
+        spans arrived since the last derivation, with pairs or without."""
         if len(self._left) < len(self.type_strings):
             self._grow()
+        self._flush()
+        if self._right_dummies_stale:
+            for ls, rs in zip(self._left, self._right):
+                rs.dummies = ls.ta + ls.dummies - rs.ta
+            self._right_dummies_stale = False
+
+    def _flush(self) -> None:
+        """Replay the pending accessors into their windows."""
         if not self._pending:
             return
         steps = self._steps
@@ -523,8 +541,7 @@ class BigramTables:
         With full_windows_only, types whose accessor history never filled a
         window on one of the sides are excluded from the macro averages
         (they still appear per-type and still count toward LR)."""
-        self._flush()
-        left, right, strings = self._left, self._right, self.type_strings
+        left, right, strings = self.left, self.right, self.type_strings
         pool_left, pool_right = self.pools()
         lifetime_eta = self.lifetime_eta
         steps = self._steps

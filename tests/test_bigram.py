@@ -65,6 +65,7 @@ def test_span_structure_vs_merged():
     a = split.type_ids["a"]
     assert split.right[a].ta == 0
     assert split.left[a].dummies == 100
+    assert split.right[a].dummies == 100
 
     merged = BigramTables()
     observe_spans(merged, [["a", "b"]] * 100)
@@ -458,6 +459,22 @@ def test_tables_read_before_finalize_equal_unbatched(spans, reads, window, strid
         assert_tables_equal(t, spans[:done], window=window, stride=stride, lifetime=lifetime)
 
 
+def test_right_dummies_derived_after_spans_without_pairs():
+    # the first batch crosses the flush threshold and leaves no pair pending;
+    # the second holds single-piece spans only, so it adds dummies but no
+    # pair, and reading `right` must still derive b_R for it
+    rng = random.Random(43)
+    paired = random_spans(rng, 16000, list("abcdef"))
+    singles = [[rng.choice("abcdefg")] for _ in range(50)]
+    t = BigramTables(window=50)
+    t.observe_spans([t.interner.intern(span) for span in paired])
+    assert t._pending == 0 and t.total_pairs > bigram._FLUSH_PAIRS
+    t.observe_spans([t.interner.intern(span) for span in singles])
+    ids, _, right = replay(paired + singles, window=50)
+    assert t.type_ids == ids
+    assert [s.dummies for s in t.right] == [s.dummies for s in right]
+
+
 def test_tables_past_the_flush_threshold_equal_unbatched():
     rng = random.Random(31)
     spans = random_spans(rng, 16000, list("abcdefghijkl"))
@@ -543,33 +560,46 @@ def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, str
 
 
 def owned_containers(state):
-    """The lists and dicts a state refers to, but the shared empty window."""
+    """The lists and dicts a state refers to, but the shared empty window
+    and lifetime table."""
     return [
         r for r in gc.get_referents(state)
-        if isinstance(r, (list, dict)) and r is not bigram._NO_ACCESSORS
+        if isinstance(r, (list, dict)) and r is not bigram._NO_ACCESSORS and r is not bigram._NO_COUNTS
     ]
 
 
-def test_state_without_accessors_owns_no_container():
-    t = BigramTables(window=4)
+@pytest.mark.parametrize("lifetime", [False, True])
+def test_state_without_accessors_owns_no_container(lifetime):
+    t = BigramTables(window=4, lifetime_eta=lifetime)
     for span in (["a"], ["b"], ["a", "c"], ["c", "d", "c"]):
         t.observe_span(span)
     a, b, c, d = (t.type_ids[x] for x in "abcd")
     # a and b have no left accessor, and b no right one
-    for state in (t.left[a], t.left[b], t.right[b], AccessorState()):
+    for state in (t.left[a], t.left[b], t.right[b], AccessorState(track_lifetime=lifetime)):
         assert owned_containers(state) == []
-    s = AccessorState()
+    s = AccessorState(track_lifetime=lifetime)
     s.extend([], entropy_steps(s.capacity))
     assert owned_containers(s) == []
     # below capacity the window is the whole state: no count table yet
-    assert owned_containers(t.left[c]) == [t.left[c].window] == [[a, d]]
+    owned = owned_containers(t.left[c])
+    assert [r for r in owned if isinstance(r, list)] == [t.left[c].window] == [[a, d]]
+    assert [r for r in owned if isinstance(r, dict)] == ([{a: 1, d: 1}] if lifetime else [])
+    # a tracked state with no accessor has lifetime eta 0; an untracked one none
+    if lifetime:
+        assert t.left[b].lifetime_eta(pool=2) == 0.0
+    else:
+        with pytest.raises(MetricsError, match="not tracked"):
+            t.left[b].lifetime_eta(pool=2)
 
 
-def test_rare_types_cost_bounded_memory():
+@pytest.mark.parametrize("lifetime, bound", [(False, 600), (True, 650)])
+def test_rare_types_cost_bounded_memory(lifetime, bound):
     # half the types only ever form single-token spans (no accessor), the
     # rest come in two-token spans seen twice. Python 3.10-3.13 trace about
     # 480-490 bytes a type here; a count table and a window list on every
-    # side made it 785-800.
+    # side made it 785-800. Lifetime tracking adds a table to each side with
+    # an accessor, about 595 bytes on Python 3.11; a table on every side
+    # made it 690.
     n = 20000
     words = [f"w{i}" for i in range(n)]
     rare = words[n // 2 :]
@@ -577,14 +607,14 @@ def test_rare_types_cost_bounded_memory():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        t = BigramTables()
+        t = BigramTables(lifetime_eta=lifetime)
         for span in spans:
             t.observe_span(span)
         assert len(t.left) == n
         per_type = (tracemalloc.get_traced_memory()[0] - before) / n
     finally:
         tracemalloc.stop()
-    assert per_type < 600
+    assert per_type < bound
 
 
 # --- c*log2(c) under threads -----------------------------------------------

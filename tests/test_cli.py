@@ -1034,6 +1034,139 @@ def test_stats_any_finite_columns_exit_cleanly(test, columns, options):
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+# --- every other command on generated files --------------------------------
+
+# each command's arguments, a file's name standing for its path (`counts`
+# and `byte-premium` have no `--out`), and the valid flags it may draw
+FUZZ_ARGV = {
+    "tokenize": ["corpus", "--vocab", "vocab", "--out", "out"],
+    "bigram": ["corpus", "--vocab", "vocab", "--out", "out"],
+    "unigram": ["corpus", "--vocab", "vocab", "--out", "out"],
+    "counts": ["corpus"],
+    "byte-premium": ["corpus", "refs"],
+    "align": ["refs", "--vocab", "vocab", "--out", "out"],
+    "run": ["--config", "config", "--out", "out"],
+}
+SMALL_INT = st.integers(1, 5).map(str)
+FUZZ_FLAGS = {
+    "tokenize": [["--greedy"], ["--no-pretokenize"]],
+    "bigram": [["--greedy"], ["--no-pretokenize"], ["--percent"], ["--full-windows-only"], ["--lifetime-eta"],
+               ["--window", SMALL_INT], ["--stride", SMALL_INT]],
+    "unigram": [["--greedy"], ["--mattr-window", SMALL_INT], ["--alpha", st.sampled_from(["0", "0.5", "1", "2.5"])]],
+    "counts": [["--pretokenize"]],
+    "byte-premium": [],
+    "align": [["--greedy"], ["--mode", st.sampled_from(cli._ALIGN_MODES)]],
+    "run": [],
+}
+
+
+@st.composite
+def fuzz_flags(draw, command):
+    """Some of `command`'s flags, each once, with drawn values."""
+    argv = []
+    for flag in FUZZ_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [part if isinstance(part, str) else draw(part) for part in flag]
+    return argv
+
+
+def _lines(line, min_size=0):
+    return st.lists(line, min_size=min_size, max_size=6).map(lambda lines: "".join(line + "\n" for line in lines))
+
+
+FUZZ_CORPUS = _lines(st.text(alphabet="abxб.▁7 \t\r", max_size=12))
+# a vocabulary of distinct pieces with finite scores, at times with one odd
+# line after them
+FUZZ_VOCAB = st.tuples(
+    st.lists(
+        st.tuples(st.text(alphabet="abб▁.", min_size=1, max_size=3), st.sampled_from(["-2.0", "-3.5", "0", "-1e308"])),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda line: line[0],
+    ),
+    st.lists(st.sampled_from(["a\tnan", "b\t-inf", "\t-1", "a -1", "b\tx", "a", "a\t-1\t2"]), max_size=1),
+).map(lambda t: "".join(f"{piece}\t{score}\n" for piece, score in t[0]) + "".join(f"{odd}\n" for odd in t[1]))
+MORPHS = st.lists(st.text(alphabet="abxб", min_size=1, max_size=3), min_size=1, max_size=3)
+FUZZ_REFS = _lines(
+    st.one_of(
+        MORPHS.map(lambda m: "".join(m) + "\t" + "|".join(m)),
+        st.text(alphabet="abxб|\t", max_size=10),
+    ),
+    min_size=1,
+)
+# each `[run]` key with its valid values and one invalid one
+RUN_VALUES = {
+    "window": ["1", "3", "1000", "0"],
+    "stride": ["1", "2", "-1"],
+    "mattr_window": ["1", "4", "x"],
+    "alpha": ["0", "0.5", "2.5", "nan"],
+    "pretokenized": ["yes", "no", "2"],
+    "greedy": ["true", "off", ""],
+    "percent": ["on", "0", "maybe"],
+    "format": ["tsv", "csv", "json", "xml"],
+    "sort_by": ["eta", "av", "ctc", "f"],
+    "bogus": ["1"],
+}
+# `{corpus}` and `{vocab}` become the drawn files' paths, `{missing}` a path
+# that does not exist
+FUZZ_CONFIG = st.tuples(
+    st.lists(
+        st.sampled_from(sorted(RUN_VALUES)).flatmap(lambda key: st.tuples(st.just(key), st.sampled_from(RUN_VALUES[key]))),
+        max_size=3,
+        unique_by=lambda kv: kv[0],
+    ),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["en", "fi", "x y"]),
+            st.sampled_from(["{corpus}", "{corpus}", "{missing}"]),
+            st.sampled_from(["{vocab}", "{vocab}", "{missing}"]),
+        ),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda lang: lang[0],
+    ),
+).map(
+    lambda t: "[run]\n"
+    + "".join(f"{key} = {value}\n" for key, value in t[0])
+    + "".join(f"[language:{name}]\ncorpus = {corpus}\nvocab = {vocab}\n" for name, corpus, vocab in t[1])
+)
+
+
+@given(
+    case=st.sampled_from(sorted(FUZZ_ARGV)).flatmap(lambda command: st.tuples(st.just(command), fuzz_flags(command))),
+    files=st.fixed_dictionaries({"corpus": FUZZ_CORPUS, "vocab": FUZZ_VOCAB, "refs": FUZZ_REFS, "config": FUZZ_CONFIG}),
+    # at times one file is random bytes instead
+    raw=st.tuples(st.sampled_from([None, "corpus", "vocab", "refs", "config"]), st.binary(max_size=24)),
+)
+@example(case=("bigram", ["--lifetime-eta"]), files={"corpus": "ab ba\n", "vocab": "a\t-1\nb\t-2\n", "refs": "",
+                                                     "config": ""}, raw=(None, b""))
+@example(case=("align", []), files={"corpus": "", "vocab": "a\t-1\n", "refs": "", "config": ""}, raw=("refs", b"\xff\xfe"))
+@example(case=("run", []), files={"corpus": "ab\n", "vocab": "a\t-1\n", "refs": "",
+                                  "config": "[run]\nformat = json\n[language:en]\ncorpus = {corpus}\nvocab = {missing}\n"},
+         raw=(None, b""))
+@settings(max_examples=150, deadline=None)
+def test_every_command_exits_cleanly_on_generated_files(case, files, raw):
+    # no exception escapes `main`, the exit code is 0, 1 or 2, and a command
+    # other than `run` (whose failed rows are a line each) ends an error
+    # with one stderr line
+    command, flags = case
+    raw_name, raw_bytes = raw
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("corpus", "vocab", "refs", "config", "out", "missing")}
+        for name, text in dict(files, config=files["config"].format(**paths)).items():
+            with open(paths[name], "wb") as f:
+                f.write(raw_bytes if name == raw_name else text.encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
+            code = main([command] + [paths.get(arg, arg) for arg in FUZZ_ARGV[command]] + flags)
+    assert code in (0, 1, 2)
+    if command != "run":
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert err.getvalue() == ""
+
+
 # --- generated corpora at the command boundary ------------------------------
 
 # "x", "y" and "z" are in no piece, so words holding them segment to <unk>

@@ -22,7 +22,9 @@ sum c*log2(c) update in O(1) per element entering or leaving the window.
 Most types are rare and never fill a window, so the table is built only
 when the window first fills: until then the window list is the whole
 state, and a read of the table replays it. A side with no accessor shares
-one empty window and allocates nothing of its own.
+one empty window and allocates nothing of its own. Lifetime eta, over a
+side's whole accessor history, reads counts that `BigramTables` keeps in a
+table per side, made at the side's first accessor.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import reduce
-from itertools import pairwise
+from itertools import pairwise, zip_longest
 from math import log2
 from operator import add, itemgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -41,10 +43,9 @@ from .tokenizer import Interner
 
 DEFAULT_WINDOW = 1000
 
-# The window and lifetime count table of every side with no accessor yet;
-# never mutated, as a side's first accessor gives it its own.
+# The window of every side with no accessor yet; never mutated, as a side's
+# first accessor gives it its own.
 _NO_ACCESSORS: List[int] = []
-_NO_COUNTS: Dict[int, int] = {}
 
 # Pending pairs that trigger a replay into the accessor windows. The replay
 # is the one step of the accumulation pass that defers work: replaying every
@@ -99,15 +100,9 @@ class AccessorState:
         "av_sum",
         "h_sum",
         "snapshots",
-        "life_counts",
     )
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_WINDOW,
-        stride: int = 1,
-        track_lifetime: bool = False,
-    ):
+    def __init__(self, capacity: int = DEFAULT_WINDOW, stride: int = 1):
         self.capacity = capacity
         self.stride = stride
         self.window: List[int] = _NO_ACCESSORS
@@ -118,9 +113,6 @@ class AccessorState:
         self.av_sum = 0  # sum of distinct counts over sampled full windows
         self.h_sum = 0.0  # sum of window entropies over sampled full windows
         self.snapshots = 0
-        # lifetime count table, only allocated when eta is to be computed
-        # over the whole accessor history instead of windows
-        self.life_counts: Optional[Dict[int, int]] = _NO_COUNTS if track_lifetime else None
 
     @property
     def fill(self) -> int:
@@ -154,11 +146,6 @@ class AccessorState:
         return counts, acc
 
     def push(self, accessor: int) -> None:
-        life = self.life_counts
-        if life is not None:
-            if life is _NO_COUNTS:
-                life = self.life_counts = {}
-            life[accessor] = life.get(accessor, 0) + 1
         counts = self._counts
         window = self.window
         self.ta += 1
@@ -197,12 +184,6 @@ class AccessorState:
         entering at c adds steps[c], one leaving at c adds -steps[c - 1]."""
         if not accessors:
             return
-        life = self.life_counts
-        if life is not None:
-            if life is _NO_COUNTS:
-                life = self.life_counts = {}
-            for a in accessors:
-                life[a] = life.get(a, 0) + 1
         cap = self.capacity
         window = self.window
         room = cap - len(window)
@@ -286,31 +267,20 @@ class AccessorState:
         h = max(0.0, math.log2(fill) - self.entropy_acc / fill)
         return _efficiency(h, fill, pool)
 
-    def lifetime_eta(self, pool: int) -> float:
-        """Eta over the whole accessor history instead of windows."""
-        if pool < 1:
-            raise MetricsError(f"accessor pool must be >= 1, got {pool}")
-        if self.life_counts is None:
-            raise MetricsError("lifetime counts were not tracked")
-        if self.ta == 0:
-            return 0.0
-        acc = reduce(add, map(_clog2, self.life_counts.values()), 0.0)
-        h = max(0.0, math.log2(self.ta) - acc / self.ta)
-        return _efficiency(h, self.ta, pool)
-
     def boundary_ratio(self) -> float:
         total = self.ta + self.dummies
         return self.dummies / total if total else 0.0
 
 
 def _side(
-    st: AccessorState, pool: int, lifetime_eta: bool, steps: Sequence[float]
+    st: AccessorState, pool: int, life: Optional[Dict[int, int]], steps: Sequence[float]
 ) -> Tuple[float, float, float, float]:
     """(AV, AU, eta, BR) of one state: `windowed_av`, `windowed_au`,
-    `windowed_eta` (or `lifetime_eta`) and `boundary_ratio` inlined, with the
-    same float operations in the same order (the clamps are conditional
-    expressions, not calls of `max` and `min`). An unfilled window is
-    replayed once with `steps`. eta is 0 for an empty pool."""
+    `windowed_eta` and `boundary_ratio` inlined, with the same float
+    operations in the same order (the clamps are conditional expressions, not
+    calls of `max` and `min`). An unfilled window is replayed once with
+    `steps`. Given the side's lifetime counts `life`, eta is over its `ta`
+    accessors instead. eta is 0 for an empty pool or a side with no accessor."""
     snapshots = st.snapshots
     if snapshots:
         av = st.av_sum / snapshots
@@ -326,12 +296,13 @@ def _side(
             au = av / n
             h = log2(n) - acc / n
             h = h if h > 0.0 else 0.0
-    if lifetime_eta:
-        eta = st.lifetime_eta(pool) if pool else 0.0
-    else:
-        m = n if n < pool else pool
-        eta = h / log2(m) if m > 1 else 0.0
-        eta = eta if eta < 1.0 else 1.0
+    if life is not None:
+        n = st.ta
+        h = log2(n) - reduce(add, map(_clog2, life.values()), 0.0) / n
+        h = h if h > 0.0 else 0.0
+    m = n if n < pool else pool
+    eta = h / log2(m) if m > 1 else 0.0
+    eta = eta if eta < 1.0 else 1.0
     total = st.ta + st.dummies
     return av, au, eta, st.dummies / total if total else 0.0
 
@@ -411,7 +382,9 @@ class BigramTables:
 
     Observed pairs are buffered per type and side and replayed into the
     windows in batches (`AccessorState.extend`); reading `left` or `right`,
-    or finalizing, applies every pair observed so far.
+    or finalizing, applies every pair observed so far. With `lifetime_eta`, a
+    replay also counts a side's accessors in its lifetime table, which the
+    side gets at its first accessor; `finalize` takes eta from these tables.
 
     One instance is owned by exactly one sequential accumulation pass;
     independent corpora use independent tables.
@@ -441,6 +414,9 @@ class BigramTables:
         self._pending_left: List[List[int]] = []
         self._pending_right: List[List[int]] = []
         self._pending = 0
+        # with lifetime_eta, per type and side, lifetime accessor counts or None
+        self._life_left: List[Optional[Dict[int, int]]] = []
+        self._life_right: List[Optional[Dict[int, int]]] = []
         self._right_dummies_stale = False  # spans arrived since b_R was derived
         # entropy steps for the counts reached so far: no count exceeds the
         # window or the pairs seen, and a huge window must not cost memory
@@ -466,7 +442,7 @@ class BigramTables:
             (self._left, self._pending_left),
             (self._right, self._pending_right),
         ):
-            states += [AccessorState(self.window, self.stride, self.lifetime_eta) for _ in range(new)]
+            states += [AccessorState(self.window, self.stride) for _ in range(new)]
             pending += [[] for _ in range(new)]
 
     def observe_span(self, pieces: Sequence[str]) -> None:
@@ -516,14 +492,23 @@ class BigramTables:
         need = min(self.window, self.total_pairs)
         if len(steps) < need:
             steps += entropy_steps(need, len(steps))
-        for states, pending in (
-            (self._left, self._pending_left),
-            (self._right, self._pending_right),
+        track = self.lifetime_eta
+        for states, pending, life in (
+            (self._left, self._pending_left, self._life_left),
+            (self._right, self._pending_right, self._life_right),
         ):
+            if track:
+                life += [None] * (len(states) - len(life))
             for tid, accessors in enumerate(pending):
                 if accessors:
                     states[tid].extend(accessors, steps)
                     pending[tid] = []
+                    if track:
+                        counts = life[tid]
+                        if counts is None:
+                            counts = life[tid] = {}
+                        for a in accessors:
+                            counts[a] = counts.get(a, 0) + 1
         self._pending = 0
 
     def pools(self) -> Tuple[int, int]:
@@ -543,21 +528,21 @@ class BigramTables:
         (they still appear per-type and still count toward LR)."""
         left, right, strings = self.left, self.right, self.type_strings
         pool_left, pool_right = self.pools()
-        lifetime_eta = self.lifetime_eta
         steps = self._steps
         new = tuple.__new__  # a record from one tuple, with no keyword parsing
 
         types: List[TypeMetrics] = []
         retained: List[TypeMetrics] = []
         lexical = filtered_count = 0
-        for tid, ls in enumerate(left):
+        # the lifetime lists end at the last replay: later types have no counts
+        sides = zip_longest(left, right, self._life_left, self._life_right)
+        for tid, (ls, rs, life_l, life_r) in enumerate(sides):
             f = ls.ta + ls.dummies
             if not f or not is_lexical(strings[tid]):
                 continue
             lexical += 1
-            rs = right[tid]
-            av_l, au_l, eta_l, br_l = _side(ls, pool_left, lifetime_eta, steps)
-            av_r, au_r, eta_r, br_r = _side(rs, pool_right, lifetime_eta, steps)
+            av_l, au_l, eta_l, br_l = _side(ls, pool_left, life_l, steps)
+            av_r, au_r, eta_r, br_r = _side(rs, pool_right, life_r, steps)
             keep = br_l < 0.95 or br_r < 0.95
             tm = new(TypeMetrics, (strings[tid], f, av_l, av_r, au_l, au_r, eta_l, eta_r, br_l, br_r, keep))
             types.append(tm)

@@ -255,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="CSV")
     p.add_argument("--alpha", type=_flag(report_mod.read_probability), default=0.05)
     p.add_argument("--alternative", choices=_ALTERNATIVES, default="two-sided")
-    p.add_argument("--k", type=_flag(report_mod.read_positive_int), default=3, help="duplication factor for dup")
+    p.add_argument("--k", type=_flag(report_mod.read_positive_int), default=3,
+                   help="duplication factor for dup; k times a sample's size is at most 1,000,000")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser(

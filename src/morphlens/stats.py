@@ -359,12 +359,20 @@ def holm_bonferroni(p_values: Sequence[float], alpha: float) -> List[CorrectionD
     ]
 
 
+# The most values a duplicated sample may hold: k copies of n values are
+# k * n floats, so an unbounded k would ask for unbounded memory.
+MAX_DUPLICATED_VALUES = 10**6
+
+
 def duplicate_sample(sample: Sample, k: int) -> Sample:
     """Concatenate k copies of the sample (the measurement-inflation
     malpractice under study; mean is invariant, variance shrinks by
-    (n-1)/(n-1/k))."""
+    (n-1)/(n-1/k)). k * n may be at most `MAX_DUPLICATED_VALUES`."""
     if k < 1:
         raise StatsError(f"duplication factor must be >= 1, got {k}")
+    n = len(sample.values)
+    if k * n > MAX_DUPLICATED_VALUES:
+        raise StatsError(f"duplication too large: {k} copies of {n} values pass {MAX_DUPLICATED_VALUES:,}")
     return Sample.of(sample.values * k)
 
 

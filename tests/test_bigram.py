@@ -10,7 +10,7 @@ from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from morphlens import bigram
@@ -166,13 +166,6 @@ def test_eta_monotone_in_concentration():
     assert all(a > b for a, b in zip(etas, etas[1:]))
 
 
-def test_lifetime_eta_matches_partial_window_case():
-    s = AccessorState(1000, track_lifetime=True)
-    for a in [1, 1, 2, 1]:
-        s.push(a)
-    assert s.lifetime_eta(pool=2) == pytest.approx(s.windowed_eta(pool=2))
-
-
 def test_boundary_ratio():
     s = AccessorState()
     s.dummies = 100
@@ -248,6 +241,24 @@ def test_frequency_identity_fuzz():
             assert rs.ta + rs.dummies == freq[piece]
         assert sum(s.ta for s in t.left) == t.total_pairs
         assert sum(s.ta for s in t.right) == t.total_pairs
+
+
+def test_lifetime_eta_matches_partial_window_case():
+    # no side reaches W accessors, so each window holds the side's whole
+    # accessor history: lifetime eta is windowed eta, up to the order in
+    # which the entropy terms are added
+    rng = random.Random(23)
+    spans = random_spans(rng, 150, list("abcdefgh"))
+    windowed = BigramTables(window=1000)
+    lifetime = BigramTables(window=1000, lifetime_eta=True)
+    observe_spans(windowed, spans)
+    observe_spans(lifetime, spans)
+    assert not any(s.snapshots for s in windowed.left + windowed.right)
+    w, t = windowed.finalize(), lifetime.finalize()
+    assert [tm[:6] + tm[8:] for tm in t.types] == [tm[:6] + tm[8:] for tm in w.types]
+    etas = [eta for tm in t.types for eta in (tm.eta_l, tm.eta_r)]
+    assert etas == pytest.approx([eta for tm in w.types for eta in (tm.eta_l, tm.eta_r)], abs=1e-12)
+    assert len(set(etas)) > 2
 
 
 def test_ta_total_identities():
@@ -371,22 +382,21 @@ def slots(state):
 @given(
     window=st.integers(1, 20),
     stride=st.integers(1, 4),
-    lifetime=st.booleans(),
     accessors=st.lists(st.integers(0, 6), max_size=120),
     cuts=st.lists(st.integers(0, 120), max_size=6),
 )
 # the first fill: at the first accessor, mid-extend, exactly at an extend's
-# end, with stride > 1, and with lifetime tracking
-@example(window=1, stride=1, lifetime=False, accessors=[3, 4, 4, 5, 5], cuts=[1, 4])
-@example(window=4, stride=1, lifetime=False, accessors=[1, 2, 3, 1, 2, 9, 2], cuts=[2, 6])
-@example(window=4, stride=1, lifetime=False, accessors=[1, 2, 3, 4, 4], cuts=[4])
-@example(window=4, stride=3, lifetime=False, accessors=[1, 2, 3, 4, 5, 1, 1, 7, 7, 7, 7], cuts=[1, 7])
-@example(window=4, stride=2, lifetime=True, accessors=[1, 1, 2, 2, 3, 3, 1, 1], cuts=[3, 7])
+# end, and with stride > 1 (twice)
+@example(window=1, stride=1, accessors=[3, 4, 4, 5, 5], cuts=[1, 4])
+@example(window=4, stride=1, accessors=[1, 2, 3, 1, 2, 9, 2], cuts=[2, 6])
+@example(window=4, stride=1, accessors=[1, 2, 3, 4, 4], cuts=[4])
+@example(window=4, stride=3, accessors=[1, 2, 3, 4, 5, 1, 1, 7, 7, 7, 7], cuts=[1, 7])
+@example(window=4, stride=2, accessors=[1, 1, 2, 2, 3, 3, 1, 1], cuts=[3, 7])
 @settings(max_examples=400, deadline=None)
-def test_extend_equals_repeated_push(window, stride, lifetime, accessors, cuts):
+def test_extend_equals_repeated_push(window, stride, accessors, cuts):
     # floats compare with ==: extend must add the same terms in the same order
-    ref = AccessorState(window, stride, lifetime)
-    batched = AccessorState(window, stride, lifetime)
+    ref = AccessorState(window, stride)
+    batched = AccessorState(window, stride)
     steps = entropy_steps(window)
     start = 0
     for stop in sorted(min(c, len(accessors)) for c in cuts) + [len(accessors)]:
@@ -414,7 +424,7 @@ def test_extend_default_window_large_counts():
     assert slots(batched) == slots(ref)
 
 
-def replay(spans, window=bigram.DEFAULT_WINDOW, stride=1, lifetime=False):
+def replay(spans, window=bigram.DEFAULT_WINDOW, stride=1):
     """Pairs pushed one at a time, as BigramTables did before batching."""
     ids, left, right = {}, [], []
     for span in spans:
@@ -422,8 +432,8 @@ def replay(spans, window=bigram.DEFAULT_WINDOW, stride=1, lifetime=False):
         for piece in span:
             if piece not in ids:
                 ids[piece] = len(left)
-                left.append(AccessorState(window, stride, lifetime))
-                right.append(AccessorState(window, stride, lifetime))
+                left.append(AccessorState(window, stride))
+                right.append(AccessorState(window, stride))
             tids.append(ids[piece])
         left[tids[0]].dummies += 1
         right[tids[-1]].dummies += 1
@@ -431,6 +441,35 @@ def replay(spans, window=bigram.DEFAULT_WINDOW, stride=1, lifetime=False):
             right[a].push(b)
             left[b].push(a)
     return ids, left, right
+
+
+def lifetime_eta_oracle(spans):
+    """{type: (eta_L, eta_R)} over each side's whole accessor history, from
+    the spans alone: a Counter of accessors per type and side, first seen
+    first, and eta = H / log2(min(pool, n)) clamped to [0, 1], where H is
+    log2(n) - sum(c * log2(c)) / n over the n accessors, the terms added left
+    to right, and the left pool counts the types with a right accessor."""
+    left, right = {}, {}
+    for span in spans:
+        for a, b in zip(span, span[1:]):
+            right.setdefault(a, Counter())[b] += 1
+            left.setdefault(b, Counter())[a] += 1
+
+    def eta(counts, pool):
+        n = sum(counts.values())
+        m = min(pool, n)
+        if m <= 1:
+            return 0.0
+        acc = 0.0
+        for c in counts.values():
+            acc += c * math.log2(c)
+        h = max(0.0, math.log2(n) - acc / n)
+        return min(1.0, h / math.log2(m))
+
+    return {
+        piece: (eta(left.get(piece, Counter()), len(right)), eta(right.get(piece, Counter()), len(left)))
+        for span in spans for piece in span
+    }
 
 
 def assert_tables_equal(tables, spans, **kwargs):
@@ -456,7 +495,8 @@ def test_tables_read_before_finalize_equal_unbatched(spans, reads, window, strid
         for span in spans[done:stop]:
             t.observe_span(span)
         done = stop
-        assert_tables_equal(t, spans[:done], window=window, stride=stride, lifetime=lifetime)
+        # the windows do not depend on lifetime tracking
+        assert_tables_equal(t, spans[:done], window=window, stride=stride)
 
 
 def test_right_dummies_derived_after_spans_without_pairs():
@@ -506,25 +546,26 @@ def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, str
     records = [t.interner.intern(span) for span in spans]
     for i in range(0, len(records), batch):
         t.observe_spans(records[i : i + batch])
-    assert_tables_equal(t, spans, window=window, stride=stride, lifetime=lifetime)
+    assert_tables_equal(t, spans, window=window, stride=stride)
     if not any(is_lexical(piece) for piece in t.type_strings):
         with pytest.raises(MetricsError):
             t.finalize(full)
         return
     report = t.finalize(full)
-    ids, left, right = replay(spans, window, stride, lifetime)
+    ids, left, right = replay(spans, window, stride)
     pools = (sum(1 for s in right if s.ta > 0), sum(1 for s in left if s.ta > 0))
+    lifetime_etas = lifetime_eta_oracle(spans)
 
-    def eta(state, pool):
-        if not pool:
-            return 0.0
-        return state.lifetime_eta(pool) if lifetime else state.windowed_eta(pool)
+    def etas(piece, ls, rs):
+        if lifetime:
+            return lifetime_etas[piece]
+        return tuple(s.windowed_eta(pool) if pool else 0.0 for s, pool in ((ls, pools[0]), (rs, pools[1])))
 
     for tm in report.types:
         ls, rs = left[ids[tm.type]], right[ids[tm.type]]
-        assert (tm.av_l, tm.av_r, tm.au_l, tm.au_r, tm.eta_l, tm.eta_r, tm.br_l, tm.br_r) == (
+        assert (tm.av_l, tm.av_r, tm.au_l, tm.au_r, (tm.eta_l, tm.eta_r), tm.br_l, tm.br_r) == (
             ls.windowed_av(), rs.windowed_av(), ls.windowed_au(), rs.windowed_au(),
-            eta(ls, pools[0]), eta(rs, pools[1]), ls.boundary_ratio(), rs.boundary_ratio(),
+            etas(tm.type, ls, rs), ls.boundary_ratio(), rs.boundary_ratio(),
         )
 
     freq = Counter(piece for span in spans for piece in span)
@@ -556,15 +597,39 @@ def test_batched_spans_and_finalize_equal_method_calls(spans, batch, window, str
     )
 
 
+@given(
+    spans=st.lists(st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=7), min_size=1, max_size=60),
+    batch=st.integers(1, 20),
+    window=st.one_of(st.integers(1, 12), st.just(bigram.DEFAULT_WINDOW)),
+    stride=st.integers(1, 3),
+    flush=st.integers(1, 40),
+)
+# windows that all fill, and windows that never do, with a replay mid-batch;
+# x's left counts 3, 6, 5 give another eta when summed in sorted order
+@example(spans=[list("abab"), list("ba"), list("abcab"), list("bb")], batch=2, window=1, stride=1, flush=3)
+@example(spans=[list("abab"), list("ba"), list("abcab"), list("bb")], batch=2, window=1000, stride=1, flush=3)
+@example(spans=[list("ax")] * 3 + [list("bx")] * 6 + [list("cx")] * 5, batch=4, window=4, stride=1, flush=5)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_lifetime_eta_equals_oracle(monkeypatch, spans, batch, window, stride, flush):
+    # a low flush threshold replays the pending accessors every few pairs,
+    # so a side's lifetime counts grow over many replays
+    monkeypatch.setattr(bigram, "_FLUSH_PAIRS", flush)
+    t = BigramTables(window=window, stride=stride, lifetime_eta=True)
+    records = [t.interner.intern(span) for span in spans]
+    for i in range(0, len(records), batch):
+        t.observe_spans(records[i : i + batch])
+    report = t.finalize()
+    assert {tm.type: (tm.eta_l, tm.eta_r) for tm in report.types} == lifetime_eta_oracle(spans)
+
+
 # --- per-type memory -------------------------------------------------------
 
 
 def owned_containers(state):
-    """The lists and dicts a state refers to, but the shared empty window
-    and lifetime table."""
+    """The lists and dicts a state refers to, but the shared empty window."""
     return [
         r for r in gc.get_referents(state)
-        if isinstance(r, (list, dict)) and r is not bigram._NO_ACCESSORS and r is not bigram._NO_COUNTS
+        if isinstance(r, (list, dict)) and r is not bigram._NO_ACCESSORS
     ]
 
 
@@ -575,31 +640,33 @@ def test_state_without_accessors_owns_no_container(lifetime):
         t.observe_span(span)
     a, b, c, d = (t.type_ids[x] for x in "abcd")
     # a and b have no left accessor, and b no right one
-    for state in (t.left[a], t.left[b], t.right[b], AccessorState(track_lifetime=lifetime)):
+    for state in (t.left[a], t.left[b], t.right[b], AccessorState()):
         assert owned_containers(state) == []
-    s = AccessorState(track_lifetime=lifetime)
+    s = AccessorState()
     s.extend([], entropy_steps(s.capacity))
     assert owned_containers(s) == []
-    # below capacity the window is the whole state: no count table yet
+    # below capacity the window is the whole state: no count table yet, and
+    # no state holds lifetime counts
     owned = owned_containers(t.left[c])
     assert [r for r in owned if isinstance(r, list)] == [t.left[c].window] == [[a, d]]
-    assert [r for r in owned if isinstance(r, dict)] == ([{a: 1, d: 1}] if lifetime else [])
-    # a tracked state with no accessor has lifetime eta 0; an untracked one none
+    for state in t.left + t.right:
+        assert [r for r in owned_containers(state) if isinstance(r, dict)] == []
+    # the table holds them, for the sides with an accessor only
     if lifetime:
-        assert t.left[b].lifetime_eta(pool=2) == 0.0
+        assert t._life_left == [None, None, {a: 1, d: 1}, {c: 1}]
+        assert t._life_right == [{c: 1}, None, {d: 1}, {c: 1}]
     else:
-        with pytest.raises(MetricsError, match="not tracked"):
-            t.left[b].lifetime_eta(pool=2)
+        assert t._life_left == t._life_right == []
 
 
 @pytest.mark.parametrize("lifetime, bound", [(False, 600), (True, 650)])
 def test_rare_types_cost_bounded_memory(lifetime, bound):
     # half the types only ever form single-token spans (no accessor), the
-    # rest come in two-token spans seen twice. Python 3.10-3.13 trace about
-    # 480-490 bytes a type here; a count table and a window list on every
-    # side made it 785-800. Lifetime tracking adds a table to each side with
-    # an accessor, about 595 bytes on Python 3.11; a table on every side
-    # made it 690.
+    # rest come in two-token spans seen twice. Python 3.11 traces about 465
+    # bytes a type here; a count table and a window list on every side made
+    # it 785-800. Lifetime tracking adds a table to each side with an
+    # accessor, about 595 bytes on Python 3.11; a table on every side made
+    # it 690.
     n = 20000
     words = [f"w{i}" for i in range(n)]
     rare = words[n // 2 :]

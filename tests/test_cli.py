@@ -17,6 +17,7 @@ from morphlens import cli
 from morphlens.cli import main
 from morphlens.corpus import BATCH_LINES, InputError, read_lines
 from morphlens.report import ConfigError, analyze_language, load_config
+from morphlens.stats import MAX_DUPLICATED_VALUES
 from morphlens.tokenizer import load_vocab
 
 
@@ -999,6 +1000,18 @@ TINY_SPREAD = [0.0, 1e-100]  # a variance whose square underflows to 0
 )
 def test_stats_out_of_range_is_one_line_error(test, columns, message):
     assert run_stats(test, columns) == (1, "", f"morphlens: error: {message}\n")
+
+
+def test_stats_dup_past_the_cap_is_one_line_error(capsys):
+    # the help names the cap, and two values duplicated past it are refused
+    # before the copies are made
+    with pytest.raises(SystemExit):
+        main(["stats", "--help"])
+    assert f"at most {MAX_DUPLICATED_VALUES:,}" in " ".join(capsys.readouterr().out.split())
+    k = MAX_DUPLICATED_VALUES // 2 + 1
+    assert run_stats("dup", [[1.0, 2.0], [3.0, 5.0]], ["--k", str(k)]) == (
+        1, "", f"morphlens: error: duplication too large: {k} copies of 2 values pass 1,000,000\n",
+    )
 
 
 STATS_FILES = {"welch": 2, "gap": 4, "holm": 1, "dup": 2, "ols": 2}

@@ -10,6 +10,7 @@ import morphlens
 from morphlens.stats import (
     GREATER,
     LESS,
+    MAX_DUPLICATED_VALUES,
     TWO_SIDED,
     Sample,
     StatsError,
@@ -406,6 +407,14 @@ def test_duplication_ratio_approximations(statistics_demo):
 def test_duplication_k_validation():
     with pytest.raises(StatsError):
         duplicate_sample(S(1, 2), 0)
+
+
+def test_duplication_past_the_cap_is_refused():
+    # two values k times: the cap itself passes, two values over it do not
+    k = MAX_DUPLICATED_VALUES // 2
+    assert len(duplicate_sample(S(1, 2), k).values) == MAX_DUPLICATED_VALUES
+    with pytest.raises(StatsError, match=f"^duplication too large: {k + 1} copies of 2 values pass 1,000,000$"):
+        duplicate_sample(S(1, 2), k + 1)
 
 
 # --- regression ------------------------------------------------------------
